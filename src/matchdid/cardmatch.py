@@ -5,20 +5,23 @@ The selection maximizes the number of matched quadruples subject to all 12
 after-matching absolute standardized differences (6 covariates for the
 early clusters, 6 for the late) staying at or under a threshold, with the
 denominator frozen at the before-matching pooled sd so the constraints are
-linear in the selection indicators. Instances up to ``exact_limit`` per
-side are solved exactly by depth-first branch and bound with a fractional
-relaxation bound; larger instances use a penalty-guided greedy plus
-swap/insert local search with a drop-repair loop, and the result is always
-verified against the constraints before it is returned.
+linear in the selection indicators. That is the cardinality-matching
+integer program of Zubizarreta, Paredes & Rosenbaum (2014), solved in one
+HiGHS MILP call. The solver's branch and bound is capped at ``_MAX_NODES``
+nodes, a count rather than a time limit so the chosen subset does not
+depend on machine speed. If the cap stops it before optimality, its best
+integer solution (the incumbent) is returned with a logged warning; either
+way the selection is verified against the constraints before it is
+returned.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -39,6 +42,12 @@ BALANCE_COLUMNS = [
 # slack applied to every constraint comparison so boundary-tight LP
 # solutions are not rejected by the last float ulp
 _FEAS_EPS = 1e-9
+
+# branch-and-bound node cap of the selection MILP; no benchmark or test
+# instance comes near it (the largest needs a few hundred nodes)
+_MAX_NODES = 10_000
+
+_log = logging.getLogger(__name__)
 
 
 def std_diff(treated, control) -> float:
@@ -116,214 +125,29 @@ def selection_feasible(
     return bool(np.all(diff <= k * tau + _FEAS_EPS * (1.0 + k * tau)))
 
 
-def _lp_upper_bound(x: np.ndarray, y: np.ndarray, tau: np.ndarray) -> int:
-    """Fractional relaxation of the max-cardinality problem."""
-    n_t, n_c = len(x), len(y)
-    nvar = n_t + n_c
-    c = np.zeros(nvar)
-    c[:n_t] = -1.0
-    a_eq = np.zeros((1, nvar))
-    a_eq[0, :n_t] = 1.0
-    a_eq[0, n_t:] = -1.0
-    rows = []
-    for j in range(x.shape[1]):
-        base = np.concatenate([x[:, j] - tau[j], -y[:, j]])
-        rows.append(base)
-        rows.append(np.concatenate([-x[:, j] - tau[j], y[:, j]]))
-    a_ub = np.array(rows)
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(rows)), A_eq=a_eq,
-                  b_eq=[0.0], bounds=[(0.0, 1.0)] * nvar, method="highs")
-    if not res.success:
-        return 0
-    return int(math.floor(-res.fun + 1e-7))
-
-
-def _feasible_at_k(
-    x: np.ndarray, y: np.ndarray, tau: np.ndarray, k: int, node_cap: int = 200_000
-) -> Optional[Tuple[List[int], List[int]]]:
-    """Depth-first branch and bound for the fixed-size feasibility program;
-    the fractional relaxation is the pruning bound."""
-    n_t, n_c = len(x), len(y)
-    nvar = n_t + n_c
-    a_eq = np.zeros((2, nvar))
-    a_eq[0, :n_t] = 1.0
-    a_eq[1, n_t:] = 1.0
-    b_eq = np.array([k, k], dtype=float)
-    rows, rhs = [], []
-    for j in range(x.shape[1]):
-        row = np.concatenate([x[:, j], -y[:, j]])
-        rows.append(row)
-        rhs.append(k * tau[j])
-        rows.append(-row)
-        rhs.append(k * tau[j])
-    a_ub = np.array(rows)
-    b_ub = np.array(rhs) + _FEAS_EPS * (1.0 + np.array(rhs))
-    zero_c = np.zeros(nvar)
-
-    stack: List[dict] = [{}]
-    nodes = 0
-    while stack:
-        fixed = stack.pop()
-        nodes += 1
-        if nodes > node_cap:
-            raise ConvergenceError(
-                f"cardinality matching branch and bound exceeded {node_cap} nodes"
-            )
-        bounds = [(0.0, 1.0)] * nvar
-        for var, val in fixed.items():
-            bounds[var] = (float(val), float(val))
-        res = linprog(zero_c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
-        if not res.success:
-            continue
-        v = res.x
-        frac = np.abs(v - np.round(v))
-        if frac.max() < 1e-7:
-            sel = np.round(v).astype(int)
-            sel_t = [i for i in range(n_t) if sel[i] == 1]
-            sel_c = [i for i in range(n_c) if sel[n_t + i] == 1]
-            if (len(sel_t) == k and len(sel_c) == k
-                    and selection_feasible(x, y, sel_t, sel_c, tau)):
-                return sel_t, sel_c
-            # fell through the numeric check: force a branch instead
-            if not np.any((frac > 0) & (frac < 1e-7)):
-                continue
-        branch = int(np.argmax(frac))
-        stack.append({**fixed, branch: 0})
-        stack.append({**fixed, branch: 1})
-    return None
-
-
-def _solve_exact(
+def _max_balanced_selection(
     x: np.ndarray, y: np.ndarray, tau: np.ndarray
 ) -> Tuple[List[int], List[int]]:
-    upper = min(len(x), len(y), _lp_upper_bound(x, y, tau))
-    # the (always feasible) heuristic solution is a lower bound; when it
-    # meets the relaxation bound there is nothing left to branch on
-    heur_t, heur_c = _solve_heuristic(x, y, tau)
-    if len(heur_t) >= upper:
-        return heur_t, heur_c
-    for k in range(upper, len(heur_t), -1):
-        found = _feasible_at_k(x, y, tau, k)
-        if found is not None:
-            return found
-    return heur_t, heur_c
-
-
-def _excess(diff_sum: np.ndarray, k: int, tau: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(diff_sum) - k * tau, 0.0)
-
-
-def _solve_heuristic(
-    x: np.ndarray, y: np.ndarray, tau: np.ndarray
-) -> Tuple[List[int], List[int]]:
-    """Penalty-guided greedy construction, swap local search, and a
-    drop-repair loop; only a verified-feasible selection is returned.
-
-    The per-constraint penalty weights (1/tau) play the role of fixed
-    Lagrange multipliers on the relaxed balance constraints.
-    """
+    """Cardinality-matching MILP: maximize the treated count subject to equal
+    group sizes and |sum_sel x_j - sum_sel y_j| <= k tau_j for every j."""
     n_t, n_c = len(x), len(y)
-    weights = 1.0 / np.maximum(tau, 1e-8)
-
-    sel_t: List[int] = []
-    sel_c: List[int] = []
-    free_t = list(range(n_t))
-    free_c = list(range(n_c))
-    sum_t = np.zeros(x.shape[1])
-    sum_c = np.zeros(y.shape[1])
-
-    def score(diff: np.ndarray, k: int) -> np.ndarray:
-        # diff has shape (..., n_cov); returns weighted violation
-        return _excess(diff, k, tau) @ weights
-
-    # greedy: grow to full size, each step adding the (t, c) pair that
-    # keeps the weighted constraint violation smallest
-    while free_t and free_c:
-        k_new = len(sel_t) + 1
-        cand_t = (sum_t + x[free_t])[:, None, :]
-        cand_c = (sum_c + y[free_c])[None, :, :]
-        v = score(cand_t - cand_c, k_new)
-        i, j = np.unravel_index(int(np.argmin(v)), v.shape)
-        t, c = free_t[i], free_c[j]
-        sel_t.append(t)
-        sel_c.append(c)
-        free_t.remove(t)
-        free_c.remove(c)
-        sum_t += x[t]
-        sum_c += y[c]
-
-    def current_violation() -> float:
-        return float(score(sum_t - sum_c, len(sel_t)))
-
-    def local_search():
-        nonlocal sum_t, sum_c
-        while True:
-            current = current_violation()
-            if current == 0.0 or not sel_t:
-                return
-            moved = False
-            if free_t:
-                # replace sel_t[pos] with a free candidate
-                trial = (sum_t - x[sel_t])[:, None, :] + x[free_t][None, :, :]
-                v = score(trial - sum_c, len(sel_t))
-                pos, j = np.unravel_index(int(np.argmin(v)), v.shape)
-                if v[pos, j] < current - 1e-12:
-                    out, new = sel_t[pos], free_t[j]
-                    sel_t[pos] = new
-                    free_t[j] = out
-                    sum_t += x[new] - x[out]
-                    moved = True
-                    current = current_violation()
-            if free_c:
-                trial = (sum_c - y[sel_c])[:, None, :] + y[free_c][None, :, :]
-                v = score(sum_t - trial, len(sel_c))
-                pos, j = np.unravel_index(int(np.argmin(v)), v.shape)
-                if v[pos, j] < current - 1e-12:
-                    out, new = sel_c[pos], free_c[j]
-                    sel_c[pos] = new
-                    free_c[j] = out
-                    sum_c += y[new] - y[out]
-                    moved = True
-            if not moved:
-                return
-
-    def drop_worst():
-        # remove the (treated, control) combination whose joint removal
-        # most improves the violation
-        nonlocal sum_t, sum_c
-        k_new = len(sel_t) - 1
-        drop_t = (sum_t - x[sel_t])[:, None, :]
-        drop_c = (sum_c - y[sel_c])[None, :, :]
-        v = score(drop_t - drop_c, k_new)
-        i, j = np.unravel_index(int(np.argmin(v)), v.shape)
-        t, c = sel_t.pop(i), sel_c.pop(j)
-        free_t.append(t)
-        free_c.append(c)
-        sum_t -= x[t]
-        sum_c -= y[c]
-
-    local_search()
-    while sel_t and not selection_feasible(x, y, sel_t, sel_c, tau):
-        drop_worst()
-        local_search()
-
-    # insert phase: grow back while feasibility is kept
-    grew = True
-    while grew and free_t and free_c:
-        grew = False
-        for t in sorted(free_t):
-            for c in sorted(free_c):
-                if selection_feasible(x, y, sel_t + [t], sel_c + [c], tau):
-                    sel_t.append(t)
-                    sel_c.append(c)
-                    free_t.remove(t)
-                    free_c.remove(c)
-                    grew = True
-                    break
-            if grew:
-                break
-    return sorted(sel_t), sorted(sel_c)
+    c = np.concatenate([-np.ones(n_t), np.zeros(n_c)])
+    a_eq = np.concatenate([np.ones(n_t), -np.ones(n_c)])[None, :]
+    a_ub = np.block([[(x - tau).T, -y.T], [-(x + tau).T, y.T]])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq,
+                  b_eq=[0.0], bounds=(0.0, 1.0), integrality=1,
+                  method="highs", options={"mip_max_nodes": _MAX_NODES})
+    if res.x is None:
+        raise ConvergenceError(
+            f"cardinality matching MILP returned no selection: {res.message}")
+    chosen = res.x > 0.5
+    sel_t = np.flatnonzero(chosen[:n_t]).tolist()
+    sel_c = np.flatnonzero(chosen[n_t:]).tolist()
+    if res.status != 0:
+        _log.warning("cardinality matching MILP stopped early (status %d); "
+                     "returning its incumbent of %d, gap %s", res.status,
+                     len(sel_t), res.get("mip_gap"))
+    return sel_t, sel_c
 
 
 def _mahalanobis_cost(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -388,7 +212,6 @@ def cardinality_match(
     treated: Sequence[ClusterPair],
     control: Sequence[ClusterPair],
     threshold: float = 0.1,
-    exact_limit: int = 60,
 ) -> Tuple[List[Quadruple], BalanceReport]:
     """Largest balanced set of quadruples, plus the balance report.
 
@@ -401,11 +224,7 @@ def cardinality_match(
     y = np.array([pair_covariates(p) for p in control], dtype=float)
     tau = threshold * _pooled_sd(x, y)
 
-    if max(len(treated), len(control)) <= exact_limit:
-        sel_t, sel_c = _solve_exact(x, y, tau)
-    else:
-        sel_t, sel_c = _solve_heuristic(x, y, tau)
-
+    sel_t, sel_c = _max_balanced_selection(x, y, tau)
     if not selection_feasible(x, y, sel_t, sel_c, tau):
         raise ConvergenceError("cardinality matching produced an infeasible "
                                "selection; this is a bug")
@@ -419,28 +238,6 @@ def cardinality_match(
     quadruples.sort(key=lambda q: (q.treated.early.cluster_id,
                                    q.control.early.cluster_id))
     return quadruples, _report(x, y, sel_t, sel_c)
-
-
-def brute_force_max_cardinality(
-    treated: Sequence[ClusterPair],
-    control: Sequence[ClusterPair],
-    threshold: float = 0.1,
-) -> int:
-    """Exhaustive subset-enumeration optimum, for cross-checks on small
-    instances (the regression baseline, not the production path)."""
-    x = np.array([pair_covariates(p) for p in treated], dtype=float)
-    y = np.array([pair_covariates(p) for p in control], dtype=float)
-    tau = threshold * _pooled_sd(x, y)
-    for k in range(min(len(x), len(y)), 0, -1):
-        sums_t = np.array([x[list(s)].sum(axis=0)
-                           for s in itertools.combinations(range(len(x)), k)])
-        sums_c = np.array([y[list(s)].sum(axis=0)
-                           for s in itertools.combinations(range(len(y)), k)])
-        gap = np.abs(sums_t[:, None, :] - sums_c[None, :, :])
-        ok = np.all(gap <= k * tau + _FEAS_EPS * (1.0 + k * tau), axis=2)
-        if ok.any():
-            return k
-    return 0
 
 
 # ---------------------------------------------------------------------------

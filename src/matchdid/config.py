@@ -6,7 +6,7 @@ settings dataclasses:
     [model]        cutoff_high, cutoff_low, highhigh_gap,
                    balance_threshold, imputations
     [filters]      max_child_age, first_born_only
-    [matching]     caliper_width, caliper_penalty, exact_limit
+    [matching]     caliper_width, caliper_penalty
     [scenario]     any ScenarioConfig field (flat ones), plus the true
                    coefficients k0..k3, sigma0 and beta (comma list)
     [sensitivity]  enabled, grid (semicolon-separated "p1,p2" points)
@@ -62,7 +62,6 @@ class InputPaths:
 class MatchingSettings:
     caliper_width: Optional[float] = None
     caliper_penalty: Optional[float] = None
-    exact_limit: int = 60
 
     def caliper(self) -> CaliperSpec:
         return CaliperSpec(width=self.caliper_width, penalty=self.caliper_penalty)
@@ -177,8 +176,6 @@ def _apply_overrides(cfg: RunConfig, parser: configparser.ConfigParser) -> RunCo
         for key, value in parser.items("matching"):
             if key in ("caliper_width", "caliper_penalty"):
                 kwargs[key] = None if value.strip() == "" else float(value)
-            elif key == "exact_limit":
-                kwargs[key] = int(value)
             else:
                 raise ConfigError(f"unknown [matching] key: {key}")
         cfg = replace(cfg, matching=replace(cfg.matching, **kwargs))

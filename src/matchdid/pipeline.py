@@ -289,9 +289,7 @@ def stage_cardmatch(cfg: RunConfig, seed: int, out_dir):
             "one control (high-high) pair with all covariates defined"
         )
     quadruples, balance = cardinality_match(
-        treated, control, cfg.model.balance_threshold,
-        exact_limit=cfg.matching.exact_limit,
-    )
+        treated, control, cfg.model.balance_threshold)
     quad_path = out / "quadruples.csv"
     balance_path = out / "balance.csv"
     write_quadruples_csv(quadruples, quad_path)

@@ -62,9 +62,8 @@ def scenario():
     return cfg, generate(cfg, seed=11)
 
 
-@pytest.fixture(scope="session")
-def matched(scenario):
-    _, data = scenario
+def classified_pairs(data):
+    """Geographic pairing within each country, then classification."""
     pairs = []
     for country in sorted({c.country for c in data.clusters}):
         early = sorted((c for c in data.clusters
@@ -74,7 +73,13 @@ def matched(scenario):
                        if c.country == country and c.role is Role.LATE),
                       key=lambda c: c.cluster_id)
         pairs.extend(match_country(early, late))
-    classified = classify_pairs(pairs)
+    return classify_pairs(pairs)
+
+
+@pytest.fixture(scope="session")
+def matched(scenario):
+    _, data = scenario
+    classified = classified_pairs(data)
     treated = [p for p in classified if p.category is PairCategory.HIGH_LOW]
     control = [p for p in classified if p.category is PairCategory.HIGH_HIGH]
     quadruples, report = cardinality_match(treated, control, 0.1)

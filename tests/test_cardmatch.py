@@ -1,23 +1,27 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
+import matchdid.cardmatch as cardmatch
 from matchdid.cardmatch import (
+    _max_balanced_selection,
     _pooled_sd,
-    _solve_exact,
-    _solve_heuristic,
     cardinality_match,
     pair_covariates,
     pair_within_selection,
     selection_feasible,
     std_diff,
 )
-from matchdid.errors import DataValidationError
+from matchdid.errors import ConvergenceError, DataValidationError
 from matchdid.model import COVARIATE_NAMES, ClusterPair, PairCategory, Quadruple, Role
+from matchdid.synth import ScenarioConfig, generate
 
-from conftest import make_cluster
+from conftest import classified_pairs, make_cluster
 
 
 class TestStdDiff:
@@ -147,13 +151,13 @@ class TestCardinalityMatch:
         with pytest.raises(DataValidationError):
             cardinality_match(treated, control, 0.1)
 
-    def test_heuristic_feasible_and_beats_random_baseline(self):
+    def test_feasible_and_beats_random_baseline(self):
         rng = np.random.default_rng(17)
         nt, nc = 24, 24
         x = rng.normal(0.2, 1.0, (nt, 12))
         y = rng.normal(0.0, 1.0, (nc, 12))
         tau = 0.1 * _pooled_sd(x, y)
-        sel_t, sel_c = _solve_heuristic(x, y, tau)
+        sel_t, sel_c = _max_balanced_selection(x, y, tau)
         assert selection_feasible(x, y, sel_t, sel_c, tau)
         # random-restart baseline: best feasible size over 300 random draws
         baseline = 0
@@ -165,15 +169,56 @@ class TestCardinalityMatch:
                 baseline = max(baseline, k)
         assert len(sel_t) >= baseline
 
-    def test_heuristic_close_to_exact_on_small_instance(self):
-        rng = np.random.default_rng(19)
-        x = rng.normal(0.15, 1.0, (7, 12))
-        y = rng.normal(0.0, 1.0, (7, 12))
-        tau = 0.12 * _pooled_sd(x, y)
-        exact_t, _ = _solve_exact(x, y, tau)
-        heur_t, heur_c = _solve_heuristic(x, y, tau)
-        assert selection_feasible(x, y, heur_t, heur_c, tau)
-        assert len(heur_t) <= len(exact_t)
+    def test_node_cap_returns_verified_incumbent(self, monkeypatch, caplog):
+        # acceptance 7's scenario at seed 5009: about 220 nodes prove the
+        # optimum of 17
+        cfg = ScenarioConfig(
+            n_countries=4, regions_per_country=12, births_per_cluster=12,
+            covariate_imbalance=0.05, decline_fraction=0.5,
+            stable_high_fraction=0.5, missingness="mcar", missing_rate=0.15)
+        classified = classified_pairs(generate(cfg, 5009))
+        treated = [p for p in classified if p.category is PairCategory.HIGH_LOW]
+        control = [p for p in classified if p.category is PairCategory.HIGH_HIGH]
+        monkeypatch.setattr(cardmatch, "_MAX_NODES", 1)
+        with caplog.at_level(logging.WARNING, logger="matchdid.cardmatch"):
+            quads, report = cardinality_match(treated, control, 0.1)
+        assert 0 < len(quads) < 17
+        assert report.is_balanced(0.1)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert f"incumbent of {len(quads)}" in caplog.records[0].getMessage()
+
+    def test_no_solution_raises_convergence_error(self, monkeypatch):
+        def no_solution(*args, **kwargs):
+            return OptimizeResult(x=None, status=4, message="node limit")
+        monkeypatch.setattr(cardmatch, "linprog", no_solution)
+        rng = np.random.default_rng(3)
+        treated = [_random_pair(f"t{i}", "C00", rng, PairCategory.HIGH_LOW)
+                   for i in range(3)]
+        control = [_random_pair(f"c{i}", "C00", rng, PairCategory.HIGH_HIGH)
+                   for i in range(3)]
+        with pytest.raises(ConvergenceError):
+            cardinality_match(treated, control, 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(nt=st.integers(1, 6), nc=st.integers(1, 6),
+           threshold=st.floats(0.05, 0.4), seed=st.integers(0, 2**32 - 1))
+    def test_selection_is_feasible_maximal_and_repeatable(
+            self, nt, nc, threshold, seed):
+        rng = np.random.default_rng(seed)
+        treated = [_random_pair(f"t{i}", "C00", rng, PairCategory.HIGH_LOW,
+                                shift=0.1) for i in range(nt)]
+        control = [_random_pair(f"c{i}", "C01", rng, PairCategory.HIGH_HIGH)
+                   for i in range(nc)]
+        quads, _ = cardinality_match(treated, control, threshold)
+        again, _ = cardinality_match(treated, control, threshold)
+        x = np.array([pair_covariates(p) for p in treated])
+        y = np.array([pair_covariates(p) for p in control])
+        tau = threshold * _pooled_sd(x, y)
+        sel_t = [treated.index(q.treated) for q in quads]
+        sel_c = [control.index(q.control) for q in quads]
+        assert selection_feasible(x, y, sel_t, sel_c, tau)
+        assert len(quads) == oracle_max_cardinality(x, y, tau)
+        assert quads == again
 
 
 class TestPairWithinSelection:

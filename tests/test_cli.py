@@ -70,11 +70,19 @@ class TestPresets:
     def test_matching_overrides(self, tmp_path):
         path = tmp_path / "m.ini"
         path.write_text("[matching]\ncaliper_width = 0.05\n"
-                        "caliper_penalty = 500\nexact_limit = 20\n")
+                        "caliper_penalty = 500\n")
         cfg = load_config(str(path), "primary")
         assert cfg.matching.caliper().width == 0.05
         assert cfg.matching.caliper().penalty == 500.0
-        assert cfg.matching.exact_limit == 20
+
+    def test_removed_exact_limit_rejected(self, tmp_path):
+        from matchdid.errors import ConfigError
+        path = tmp_path / "old.ini"
+        path.write_text("[matching]\nexact_limit = 20\n")
+        with pytest.raises(ConfigError, match="exact_limit"):
+            load_config(str(path), "primary")
+        assert run_cli("simulate", "--config", path,
+                       "--out-dir", tmp_path / "out") == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         from matchdid.errors import ConfigError
