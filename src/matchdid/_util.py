@@ -13,8 +13,8 @@ def substream(*key) -> np.random.Generator:
 
     The key parts (ints, floats, strings) are serialized and hashed, so the
     stream depends only on the key values, never on creation order. This is
-    what makes per-replicate / per-record draws independent of thread count
-    and iteration order.
+    what makes per-replicate / per-record draws independent of iteration
+    order and of which other draws a run makes.
     """
     material = "\x1f".join(_encode(part) for part in key).encode()
     digest = hashlib.sha256(material).digest()

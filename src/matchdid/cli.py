@@ -38,35 +38,23 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=sorted(PRESETS),
                         help="named analysis preset (default: primary)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for per-replicate fits; never "
-                             "affects results")
     parser.add_argument("--out-dir", default="out",
                         help="directory holding stage artifacts")
     return parser
 
 
-_STAGES = {
-    "simulate": lambda cfg, seed, out, threads: pipeline.stage_simulate(cfg, seed, out),
-    "ingest": lambda cfg, seed, out, threads: pipeline.stage_ingest(cfg, seed, out),
-    "match-geo": lambda cfg, seed, out, threads: pipeline.stage_geomatch(cfg, seed, out),
-    "classify": lambda cfg, seed, out, threads: pipeline.stage_classify(cfg, seed, out),
-    "match-card": lambda cfg, seed, out, threads: pipeline.stage_cardmatch(cfg, seed, out),
-    "impute": lambda cfg, seed, out, threads: pipeline.stage_impute(cfg, seed, out),
-    "fit": lambda cfg, seed, out, threads: pipeline.stage_fit(cfg, seed, out, threads),
-    "sensitivity": lambda cfg, seed, out, threads: pipeline.stage_sensitivity(cfg, seed, out, threads),
-    "pipeline": lambda cfg, seed, out, threads: pipeline.run_pipeline(cfg, seed, out, threads),
-    "report": lambda cfg, seed, out, threads: pipeline.stage_report(cfg, seed, out),
-}
+# pipeline functions of the commands not implemented by stage_<command>;
+# looked up at call time so a patched pipeline function is the one called
+_STAGES = {"match-geo": "stage_geomatch", "match-card": "stage_cardmatch",
+           "pipeline": "run_pipeline"}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         cfg = load_config(args.config, args.preset)
-        _STAGES[args.command](cfg, args.seed, args.out_dir, args.threads)
+        stage = _STAGES.get(args.command, f"stage_{args.command}")
+        getattr(pipeline, stage)(cfg, args.seed, args.out_dir)
     except ConfigError as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return 1

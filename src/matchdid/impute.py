@@ -40,6 +40,8 @@ IMPUTATION_COLUMNS: Tuple[str, ...] = (
 
 MAX_NEWTON_ITER = 100
 GRAD_TOL = 1e-8
+# the only outcome cells write_imputations_csv emits
+_OUTCOME = {"0": 0, "1": 1}
 
 
 def imputation_row(r: BirthRecord) -> List[float]:
@@ -280,31 +282,43 @@ def write_imputations_csv(
 
 
 def read_imputations_csv(
-    records: Sequence[BirthRecord], path
+    records: Sequence[BirthRecord], path, m: int
 ) -> List[ImputedSet]:
-    by_replicate = {}
+    """Read back what ``write_imputations_csv`` wrote for ``records`` and
+    ``m`` replicates. An outcome other than 0/1, a changed observed
+    outcome, a repeated (replicate, child_id) row or replicate numbers
+    other than 1..m raise ``DataValidationError``."""
+    by_replicate = {str(rep): np.full(len(records), -1, dtype=np.int8)
+                    for rep in range(1, m + 1)}
     index = {r.child_id: i for i, r in enumerate(records)}
+    observed = [r.lbw for r in records]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if list(reader.fieldnames or []) != ["replicate", "child_id", "lbw"]:
             raise DataValidationError(f"{path}: unexpected imputations.csv header")
         for row in reader:
-            rep = int(row["replicate"])
-            vec = by_replicate.setdefault(
-                rep, np.full(len(records), -1, dtype=np.int8)
-            )
-            try:
-                vec[index[row["child_id"]]] = int(row["lbw"])
-            except KeyError:
-                raise DataValidationError(
-                    f"{path}: imputation row for unknown child {row['child_id']}"
-                ) from None
+            rep, child = row["replicate"], row["child_id"]
+            vec, i = by_replicate.get(rep), index.get(child)
+            value = _OUTCOME.get(row["lbw"])
+            if vec is None:
+                problem = f"replicate {rep!r} is not in 1..{m}"
+            elif i is None:
+                problem = f"imputation row for unknown child {child}"
+            elif value is None:
+                problem = f"outcome {row['lbw']!r} is not 0 or 1"
+            elif observed[i] not in (None, value):
+                problem = f"observed outcome of {child} changed"
+            elif vec[i] >= 0:
+                problem = f"duplicate row for replicate {rep}, child {child}"
+            else:
+                vec[i] = value
+                continue
+            raise DataValidationError(f"{path}, line {reader.line_num}: {problem}")
     sets = []
-    for rep in sorted(by_replicate):
-        vec = by_replicate[rep]
+    for rep, vec in by_replicate.items():
         if (vec < 0).any():
             raise DataValidationError(
                 f"{path}: replicate {rep} does not cover every record"
             )
-        sets.append(ImputedSet(replicate=rep, lbw=vec, substream_id="from-file"))
+        sets.append(ImputedSet(replicate=int(rep), lbw=vec, substream_id="from-file"))
     return sets

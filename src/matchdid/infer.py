@@ -5,20 +5,21 @@ imputed data sets.
 The REML criterion is profiled over the variance ratio theta =
 sigma0^2/sigma1^2; for a random intercept the per-cluster inverse
 (I + theta J)^-1 = I - theta/(1 + theta n_i) J collapses everything to
-cluster totals, so each profile evaluation costs O(C p^2).
+cluster totals. A replicate enters only through its outcome cross products
+and cluster totals, so all M replicates are fitted together: one profile
+evaluation takes one variance ratio per replicate and costs O(M C p^2) in
+batched matrix products and Cholesky factorisations.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize_scalar
 from scipy.stats import t as t_dist
 
 from ._util import fmt
@@ -167,8 +168,17 @@ class MixedFit:
         return np.array([self.estimates[n] for n in names])
 
 
+# Golden-section refinement of log theta: brackets of width 3 around the best
+# grid point, shrunk by 1/phi per step to below 1e-10.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = math.ceil(math.log(1e-10 / 3.0) / math.log(_INVPHI))
+# share of u'u an extra column must keep off the span of X
+_COLLINEAR_TOL = 1e-9
+
+
 class MixedModelData:
-    """Per-cluster sufficient statistics reused across replicate fits."""
+    """Per-cluster sufficient statistics of one design, shared by the fits
+    of all replicates."""
 
     def __init__(self, X: np.ndarray, cluster_codes: np.ndarray,
                  names: Sequence[str] = REGRESSORS):
@@ -192,6 +202,9 @@ class MixedModelData:
         self.cluster_sizes = np.diff(np.concatenate([starts, [self.n]]))
         self.xtx = self.X.T @ self.X
         self.cluster_x_totals = np.add.reduceat(self.X, starts, axis=0)
+        # per-cluster outer products of the x-totals, (C, p, p)
+        self.cluster_x_outer = np.einsum("ci,cj->cij", self.cluster_x_totals,
+                                         self.cluster_x_totals)
 
     def _check_rank(self):
         rank = np.linalg.matrix_rank(self.X)
@@ -203,95 +216,136 @@ class MixedModelData:
             raise DataValidationError(f"design matrix is rank deficient; "
                                       f"collinear columns: {cols}")
 
-    def _suff(self, y: np.ndarray):
-        y = np.asarray(y, dtype=float)[self.order]
-        xty = self.X.T @ y
-        yty = float(y @ y)
-        ty = np.add.reduceat(y, self.starts)
-        return xty, yty, ty
+    def _stats(self, Y, extra=None):
+        """Per replicate i the cross products (M, k, k) of [X, V_i] and the
+        cluster totals (M, C, k - p) of V_i, where V_i = [U[i], Y[i]] for
+        ``extra`` = (name, U) and [Y[i]] otherwise: X'X bordered by the
+        replicate's own columns, built one replicate at a time."""
+        p, m, U = self.p, len(Y), None if extra is None else extra[1]
+        k = p + 1 + (U is not None)
+        gram, totals = np.empty((m, k, k)), np.empty((m, len(self.starts), k - p))
+        gram[:, :p, :p] = self.xtx
+        for i, y in enumerate(Y):
+            v = np.column_stack([y] if U is None else [U[i], y])
+            v = v.astype(float)[self.order]
+            gram[i, p:, :p] = v.T @ self.X
+            gram[i, :p, p:] = gram[i, p:, :p].T
+            gram[i, p:, p:] = v.T @ v
+            totals[i] = np.add.reduceat(v, self.starts, axis=0)
+        if U is not None:
+            # u lies in the span of X when its residual on X, the Schur
+            # complement of X'X, vanishes; X'X is scaled to unit diagonal
+            s = 1.0 / np.sqrt(np.diag(self.xtx))
+            w = scipy.linalg.solve_triangular(np.linalg.cholesky(
+                self.xtx * np.outer(s, s)), (gram[:, p, :p] * s).T, lower=True)
+            if np.any(gram[:, p, p] - (w * w).sum(axis=0)
+                      <= _COLLINEAR_TOL * gram[:, p, p]):
+                raise DataValidationError(f"design matrix is rank deficient; "
+                                          f"collinear columns: {extra[0]}")
+        return gram, totals
 
-    def _gls_parts(self, theta: float, xty, yty, ty):
-        c = theta / (1.0 + theta * self.cluster_sizes)
-        tx = self.cluster_x_totals
-        xwx = self.xtx - (tx * c[:, None]).T @ tx
-        xwy = xty - tx.T @ (c * ty)
-        ywy = yty - float(c @ (ty * ty))
-        return xwx, xwy, ywy
-
-    def profile_criterion(self, theta: float, xty, yty, ty) -> Tuple[float, ...]:
-        """Returns (criterion, rss, gamma, xwx); criterion is -2 REML
-        log-likelihood up to an additive constant."""
-        xwx, xwy, ywy = self._gls_parts(theta, xty, yty, ty)
+    def profile_criterion(self, theta: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
+        """-2 REML log-likelihood up to a constant, profiled over sigma1^2,
+        at one variance ratio per replicate. Returns (criterion, rss, chol,
+        z) with chol the Cholesky factor of X'V^-1X and z = chol^-1 X'V^-1y;
+        the criterion is +inf where X'V^-1X is not positive definite and
+        -inf where the residual vanishes."""
+        gram, totals = stats
+        q = gram.shape[-1] - 1
+        c = theta[:, None] / (1.0 + theta[:, None] * self.cluster_sizes)
+        # [X, V]'V^-1[X, V] up to sigma1^2, block by block so that no
+        # (M, C, p) array is formed; einsum, not BLAS, keeps each
+        # replicate's sums independent of the batch
+        cv = c[..., None] * totals
+        xv = self.cluster_x_totals.T @ cv
+        w = gram - np.block([
+            [np.einsum("mc,cij->mij", c, self.cluster_x_outer), xv],
+            [np.swapaxes(xv, 1, 2), np.swapaxes(totals, 1, 2) @ cv]])
         try:
-            chol = np.linalg.cholesky(xwx)
+            chol = np.linalg.cholesky(w[:, :q, :q])
         except np.linalg.LinAlgError:
-            return (math.inf, math.inf, np.zeros(self.p), xwx)
-        gamma = scipy.linalg.cho_solve((chol, True), xwy)
-        rss = max(ywy - float(xwy @ gamma), 0.0)
-        logdet_xwx = 2.0 * float(np.log(np.diag(chol)).sum())
-        logdet_v = float(np.log1p(theta * self.cluster_sizes).sum())
-        if rss <= 0.0:
-            return (-math.inf, 0.0, gamma, xwx)
-        crit = (self.n - self.p) * math.log(rss) + logdet_v + logdet_xwx
-        return (crit, rss, gamma, xwx)
+            # score each replicate alone; one whose X'V^-1X is not positive
+            # definite reads +inf instead of aborting the batch
+            if len(theta) == 1:
+                return (np.full(1, np.inf), np.full(1, np.inf),
+                        np.eye(q)[None], np.zeros((1, q)))
+            parts = [self.profile_criterion(theta[i:i + 1],
+                                            (gram[i:i + 1], totals[i:i + 1]))
+                     for i in range(len(theta))]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+        z = np.linalg.solve(chol, w[:, :q, q:])[..., 0]
+        rss = np.maximum(w[:, q, q] - (z * z).sum(axis=1), 0.0)
+        logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                  + np.log1p(theta[:, None] * self.cluster_sizes).sum(axis=1))
+        with np.errstate(divide="ignore"):
+            return (self.n - q) * np.log(rss) + logdet, rss, chol, z
 
     def reml_loglik(self, y: np.ndarray, sigma0_sq: float, sigma1_sq: float) -> float:
-        """Full REML log-likelihood at arbitrary variance components."""
+        """Full REML log-likelihood of one outcome at arbitrary variance
+        components."""
         if sigma1_sq <= 0:
             return -math.inf
-        xty, yty, ty = self._suff(y)
-        theta = sigma0_sq / sigma1_sq
-        xwx, xwy, ywy = self._gls_parts(theta, xty, yty, ty)
-        chol = np.linalg.cholesky(xwx)
-        gamma = scipy.linalg.cho_solve((chol, True), xwy)
-        rss = max(ywy - float(xwy @ gamma), 0.0)
+        gram, totals = (a[0] for a in self._stats([y]))
+        totals = np.column_stack([self.cluster_x_totals, totals])
+        theta, p = sigma0_sq / sigma1_sq, self.p
+        c = theta / (1.0 + theta * self.cluster_sizes)
+        w = gram - (totals * c[:, None]).T @ totals
+        chol = np.linalg.cholesky(w[:p, :p])
+        gamma = scipy.linalg.cho_solve((chol, True), w[:p, p])
+        rss = max(w[p, p] - float(w[:p, p] @ gamma), 0.0)
         logdet_xwx = 2.0 * float(np.log(np.diag(chol)).sum())
         logdet_v = float(np.log1p(theta * self.cluster_sizes).sum())
-        n, p = self.n, self.p
-        return -0.5 * ((n - p) * math.log(2.0 * math.pi * sigma1_sq)
+        return -0.5 * ((self.n - p) * math.log(2.0 * math.pi * sigma1_sq)
                        + logdet_v + logdet_xwx + rss / sigma1_sq)
 
-    def fit(self, y: np.ndarray) -> MixedFit:
-        xty, yty, ty = self._suff(y)
+    def _golden_section(self, lo, hi, stats):
+        """Minimise the criterion over log theta in [lo, hi], one bracket
+        per replicate; a fixed step count keeps replicates independent."""
+        def crit(u):
+            return self.profile_criterion(np.exp(u), stats)[0]
 
-        def crit(log_theta: float) -> float:
-            return self.profile_criterion(math.exp(log_theta), xty, yty, ty)[0]
+        c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+        fc, fd = crit(c), crit(d)
+        for _ in range(_GOLDEN_STEPS):
+            left = fc < fd          # the minimum lies in [lo, d]
+            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+            x = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
+            fx = crit(x)
+            c, fc, d, fd = (np.where(left, x, d), np.where(left, fx, fd),
+                            np.where(left, c, x), np.where(left, fc, fx))
+        return np.where(fc < fd, c, d), np.minimum(fc, fd)
 
-        crit0, rss0, gamma0, _ = self.profile_criterion(0.0, xty, yty, ty)
-        if rss0 <= 1e-12 * max(1.0, yty):
-            # degenerate outcome: zero residual variation at theta = 0
-            estimates = dict(zip(self.names, gamma0))
-            zeros = dict(zip(self.names, np.zeros(self.p)))
-            return MixedFit(estimates=estimates, standard_errors=zeros,
-                            sigma0_sq=0.0, sigma1_sq=0.0, loglik=math.inf,
-                            converged=True, theta=0.0)
-
+    def fit(self, Y, extra: Optional[Tuple[str, np.ndarray]] = None) -> List[MixedFit]:
+        """REML fits of the outcome vectors Y[0..M-1], in order. ``extra`` =
+        (name, U) adds a regressor that differs by replicate: row i of the
+        (M, n) array U goes with Y[i]."""
+        names = self.names + (() if extra is None else (extra[0],))
+        stats = self._stats(Y, extra)
+        m, q = len(Y), len(names)
+        crit0, rss0, _, _ = self.profile_criterion(np.zeros(m), stats)
+        # degenerate outcome: zero residual variation at theta = 0
+        degenerate = rss0 <= 1e-12 * np.maximum(1.0, stats[0][:, q, q])
         grid = np.linspace(-14.0, 10.0, 49)
-        values = [crit(u) for u in grid]
-        u_best = float(grid[int(np.argmin(values))])
-        res = minimize_scalar(
-            crit, bounds=(u_best - 1.5, u_best + 1.5), method="bounded",
-            options={"xatol": 1e-10},
-        )
-        best_u = float(res.x)
-        best_crit = float(res.fun)
-        theta = math.exp(best_u)
-        if crit0 <= best_crit:
-            theta = 0.0
-        criterion, rss, gamma, xwx = self.profile_criterion(theta, xty, yty, ty)
-        if not math.isfinite(criterion):
+        u = grid[np.argmin([self.profile_criterion(np.full(m, math.exp(g)), stats)[0]
+                            for g in grid], axis=0)]
+        u, best = self._golden_section(u - 1.5, u + 1.5, stats)
+        theta = np.where(degenerate | (crit0 <= best), 0.0, np.exp(u))
+        criterion, rss, chol, z = self.profile_criterion(theta, stats)
+        if not np.isfinite(criterion[~degenerate]).all():
             raise ConvergenceError("REML profile criterion is not finite")
-        sigma1_sq = rss / (self.n - self.p)
-        sigma0_sq = theta * sigma1_sq
-        cov = sigma1_sq * np.linalg.inv(xwx)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        loglik = self.reml_loglik(y, sigma0_sq, sigma1_sq)
-        return MixedFit(
-            estimates=dict(zip(self.names, gamma)),
-            standard_errors=dict(zip(self.names, se)),
-            sigma0_sq=sigma0_sq, sigma1_sq=sigma1_sq,
-            loglik=loglik, converged=True, theta=theta,
-        )
+        gamma = np.linalg.solve(np.swapaxes(chol, 1, 2), z[..., None])[..., 0]
+        sigma1_sq = np.where(degenerate, 0.0, rss / (self.n - q))
+        # diag((X'V^-1X)^-1) holds the column sums of squares of chol^-1
+        se = np.sqrt(sigma1_sq[:, None] * (np.linalg.inv(chol) ** 2).sum(axis=1))
+        # the REML log-likelihood at sigma1^2 = rss / (n - q)
+        loglik = np.where(degenerate, math.inf, -0.5 * (
+            criterion + (self.n - q) * (math.log(2.0 * math.pi / (self.n - q)) + 1.0)))
+        return [MixedFit(estimates=dict(zip(names, gamma[i])),
+                         standard_errors=dict(zip(names, se[i])),
+                         sigma0_sq=float(theta[i] * sigma1_sq[i]),
+                         sigma1_sq=float(sigma1_sq[i]), loglik=float(loglik[i]),
+                         converged=True, theta=float(theta[i]))
+                for i in range(m)]
 
 
 def fit_mixed_lpm(
@@ -301,7 +355,7 @@ def fit_mixed_lpm(
     names: Sequence[str] = REGRESSORS,
 ) -> MixedFit:
     """One-shot REML fit of the random-intercept linear probability model."""
-    return MixedModelData(X, cluster_codes, names).fit(y)
+    return MixedModelData(X, cluster_codes, names).fit([y])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,44 +472,27 @@ def _cell_rate(observed: np.ndarray, mask: np.ndarray) -> float:
     return float(values.mean())
 
 
-def replicate_fits(
-    data: MixedModelData,
-    imputed_lbw: Sequence[np.ndarray],
-    threads: int = 1,
-) -> List[MixedFit]:
-    """Fit the outcome model once per completed data set; the collection
-    order is by replicate index regardless of scheduling."""
-    if threads <= 1 or len(imputed_lbw) <= 1:
-        return [data.fit(y.astype(float)) for y in imputed_lbw]
-    results: List[Optional[MixedFit]] = [None] * len(imputed_lbw)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(data.fit, y.astype(float)): i
-            for i, y in enumerate(imputed_lbw)
-        }
-        for future in futures:
-            results[futures[future]] = future.result()
-    return results  # type: ignore[return-value]
+def fit_and_pool(design: InferenceDesign, imputed_sets,
+                 extra: Optional[Tuple[str, np.ndarray]] = None):
+    """Fit every completed data set in one batch (``extra`` as in
+    ``MixedModelData.fit``) and pool by Rubin's rules. Returns (fits,
+    pooled)."""
+    if len(imputed_sets) < 2:
+        raise DataValidationError("pooling needs M >= 2 imputations")
+    data = MixedModelData(design.X, design.cluster_codes, design.regressors)
+    fits = data.fit([s.lbw for s in imputed_sets], extra)
+    names = tuple(fits[0].estimates)
+    est = np.array([f.estimate_vector(names) for f in fits])
+    var = np.array([[f.standard_errors[n] ** 2 for n in names] for f in fits])
+    return fits, rubin_combine(est, var, names)
 
 
-def run_primary_analysis(
-    design: InferenceDesign,
-    imputed_sets,
-    threads: int = 1,
-) -> PrimaryResult:
+def run_primary_analysis(design: InferenceDesign, imputed_sets) -> PrimaryResult:
     """Fit the outcome model on every completed data set, pool by Rubin's
     rules, and report the naive four-cell contrast and the covariate drift
     term over treated pairs for comparison."""
-    if len(imputed_sets) < 2:
-        raise DataValidationError("primary analysis needs M >= 2 imputations")
     names = design.regressors
-    data = MixedModelData(design.X, design.cluster_codes, names)
-    fits = replicate_fits(data, [s.lbw for s in imputed_sets], threads)
-    est = np.array([f.estimate_vector(names) for f in fits])
-    var = np.array([
-        [f.standard_errors[n] ** 2 for n in names] for f in fits
-    ])
-    pooled = rubin_combine(est, var, names)
+    fits, pooled = fit_and_pool(design, imputed_sets)
 
     cells = design.cell_masks
     a = _cell_rate(design.observed_lbw, cells["hl_early"])

@@ -1,8 +1,7 @@
 """Domain types shared by every pipeline stage.
 
 Clusters, births, pairs, quadruples, analysis settings, and sensitivity
-parameters are all immutable after construction and safe to share across
-threads.
+parameters are all immutable after construction.
 """
 
 from __future__ import annotations

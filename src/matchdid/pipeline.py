@@ -4,7 +4,7 @@ Each stage reads its input artifacts from the output directory (or the
 configured input paths), writes its own artifacts, and drops a manifest
 with input/output hashes, the seed, and a config snapshot. Stages are
 deterministic: re-running one with unchanged inputs and seed reproduces
-its artifacts byte for byte, regardless of the thread cap.
+its artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -339,12 +339,18 @@ def stage_impute(cfg: RunConfig, seed: int, out_dir):
     return model, sets
 
 
-def stage_fit(cfg: RunConfig, seed: int, out_dir, threads: int = 1):
-    out = _out(out_dir)
+def _load_imputed(cfg: RunConfig, out: Path):
     design, _, input_files = _load_design(cfg, out)
     imputations_path = _require(out / "imputations.csv", "impute")
-    sets = read_imputations_csv(design.records, imputations_path)
-    result = run_primary_analysis(design, sets, threads=threads)
+    sets = read_imputations_csv(design.records, imputations_path,
+                                cfg.model.imputations)
+    return design, sets, input_files + [imputations_path]
+
+
+def stage_fit(cfg: RunConfig, seed: int, out_dir):
+    out = _out(out_dir)
+    design, sets, input_files = _load_imputed(cfg, out)
+    result = run_primary_analysis(design, sets)
 
     results_path = out / "results.csv"
     diagnostics_path = out / "diagnostics.csv"
@@ -367,22 +373,18 @@ def stage_fit(cfg: RunConfig, seed: int, out_dir, threads: int = 1):
                              result.pooled["low_prevalence"].ci_high],
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest("fit", out, cfg, seed, input_files + [imputations_path],
+    _write_manifest("fit", out, cfg, seed, input_files,
                     [results_path, diagnostics_path, summary_path])
     return result
 
 
-def stage_sensitivity(cfg: RunConfig, seed: int, out_dir, threads: int = 1):
+def stage_sensitivity(cfg: RunConfig, seed: int, out_dir):
     out = _out(out_dir)
-    design, _, input_files = _load_design(cfg, out)
-    imputations_path = _require(out / "imputations.csv", "impute")
-    sets = read_imputations_csv(design.records, imputations_path)
-    rows = sensitivity_grid(design, sets, seed, grid=cfg.sensitivity.grid,
-                            threads=threads)
+    design, sets, input_files = _load_imputed(cfg, out)
+    rows = sensitivity_grid(design, sets, seed, grid=cfg.sensitivity.grid)
     sens_path = out / "sensitivity.csv"
     write_sensitivity_csv(rows, sens_path)
-    _write_manifest("sensitivity", out, cfg, seed,
-                    input_files + [imputations_path], [sens_path])
+    _write_manifest("sensitivity", out, cfg, seed, input_files, [sens_path])
     return rows
 
 
@@ -413,7 +415,7 @@ def stage_report(cfg: RunConfig, seed: int, out_dir):
     return outputs
 
 
-def run_pipeline(cfg: RunConfig, seed: int, out_dir, threads: int = 1) -> Dict:
+def run_pipeline(cfg: RunConfig, seed: int, out_dir) -> Dict:
     """All analysis stages in order (inputs must already exist)."""
     out = _out(out_dir)
     stage_ingest(cfg, seed, out)
@@ -421,9 +423,9 @@ def run_pipeline(cfg: RunConfig, seed: int, out_dir, threads: int = 1) -> Dict:
     stage_classify(cfg, seed, out)
     stage_cardmatch(cfg, seed, out)
     stage_impute(cfg, seed, out)
-    result = stage_fit(cfg, seed, out, threads=threads)
+    result = stage_fit(cfg, seed, out)
     if cfg.sensitivity.enabled:
-        stage_sensitivity(cfg, seed, out, threads=threads)
+        stage_sensitivity(cfg, seed, out)
     stage_report(cfg, seed, out)
     return {
         "pooled_k1": result.pooled["low_prevalence"].estimate,

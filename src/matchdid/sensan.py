@@ -20,21 +20,10 @@ import numpy as np
 
 from ._util import fmt, substream
 from .errors import DataValidationError
-from .infer import (
-    REGRESSORS,
-    InferenceDesign,
-    MixedModelData,
-    PooledEstimate,
-    replicate_fits,
-    rubin_combine,
-)
+from .infer import InferenceDesign, PooledEstimate, fit_and_pool
 from .model import validate_u_probabilities
 
 U_REGRESSOR = "unobserved_u"
-EXTENDED_REGRESSORS: Tuple[str, ...] = REGRESSORS + (U_REGRESSOR,)
-
-DEFAULT_P1_GRID: Tuple[float, ...] = (2.5, 5.0, 7.5, 10.0, -2.5, -5.0, -7.5, -10.0)
-DEFAULT_P2_GRID: Tuple[float, ...] = (5.0, 10.0, -5.0, -10.0)
 
 SENSITIVITY_COLUMNS = ["case", "p1", "p2", "estimate", "ci_low", "ci_high",
                        "p_value", "note"]
@@ -94,56 +83,25 @@ def sensitivity_fit(
     p1: float,
     p2: float,
     seed: int,
-    threads: int = 1,
 ) -> SensitivityResult:
     """Refit the outcome model with a fresh U per replicate and pool.
 
     The U draw for replicate m runs on the substream keyed by
     (seed, p1, p2, m), so grid points and replicates are independent and
-    the whole table is reproducible for a fixed seed.
+    the whole table is reproducible for a fixed seed. All replicates are
+    fitted in one batch, with U bordering the shared design.
     """
     validate_u_probabilities(p1, p2)
-    if len(imputed_sets) < 2:
-        raise DataValidationError("sensitivity analysis needs M >= 2 imputations")
-    names = design.regressors + (U_REGRESSOR,)
     low = design.X[:, design.regressors.index("low_prevalence")]
-
-    datasets, ys = [], []
-    for s in imputed_sets:
-        rng = substream(seed, "sensan", p1, p2, s.replicate)
-        u = gen_u(low, s.lbw, p1, p2, rng)
-        X_ext = np.column_stack([design.X, u.astype(float)])
-        datasets.append(MixedModelData(X_ext, design.cluster_codes, names))
-        ys.append(s.lbw.astype(float))
-    results = replicate_fits_multi(datasets, ys, threads)
-
-    est = np.array([[f.estimates[n] for n in names] for f in results])
-    var = np.array([[f.standard_errors[n] ** 2 for n in names]
-                    for f in results])
-    pooled = rubin_combine(est, var, names)
+    U = np.array([
+        gen_u(low, s.lbw, p1, p2, substream(seed, "sensan", p1, p2, s.replicate))
+        for s in imputed_sets
+    ])
+    _, pooled = fit_and_pool(design, imputed_sets, extra=(U_REGRESSOR, U))
     return SensitivityResult(
         p1=p1, p2=p2, case=case_label(p1, p2),
         k1=pooled["low_prevalence"], lam=pooled[U_REGRESSOR], pooled=pooled,
     )
-
-
-def replicate_fits_multi(datasets: Sequence[MixedModelData],
-                         ys: Sequence[np.ndarray], threads: int = 1):
-    """Like infer.replicate_fits but each replicate has its own design
-    matrix (the U column differs)."""
-    if threads <= 1 or len(datasets) <= 1:
-        return [d.fit(y) for d, y in zip(datasets, ys)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    results = [None] * len(datasets)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {
-            pool.submit(d.fit, y): i
-            for i, (d, y) in enumerate(zip(datasets, ys))
-        }
-        for future in futures:
-            results[futures[future]] = future.result()
-    return results
 
 
 @dataclass(frozen=True)
@@ -176,7 +134,6 @@ def sensitivity_grid(
     imputed_sets,
     seed: int,
     grid: Optional[Sequence[Tuple[float, float]]] = None,
-    threads: int = 1,
 ) -> List[SensitivityRow]:
     """One sensitivity fit per grid point; invalid points are skipped with
     a warning row rather than aborting the sweep."""
@@ -192,7 +149,7 @@ def sensitivity_grid(
                 skipped=True, note=str(exc),
             ))
             continue
-        res = sensitivity_fit(design, imputed_sets, p1, p2, seed, threads)
+        res = sensitivity_fit(design, imputed_sets, p1, p2, seed)
         rows.append(SensitivityRow(
             case=res.case, p1=p1, p2=p2,
             estimate=res.k1.estimate, ci_low=res.k1.ci_low,

@@ -124,6 +124,11 @@ class TestExitCodes:
                        "--out-dir", out) == 2
         assert "classify" in capsys.readouterr().err
 
+    def test_removed_threads_option_is_usage_error(self, tmp_path, capsys):
+        assert run_cli("simulate", "--threads", 2,
+                       "--out-dir", tmp_path) == 1
+        assert "--threads" in capsys.readouterr().err
+
     def test_convergence_maps_to_exit_3(self, monkeypatch, tmp_path):
         def boom(cfg, seed, out_dir):
             raise ConvergenceError("did not converge")
@@ -240,3 +245,52 @@ class TestPipeline:
                        "--out-dir", out) == 0
         quads = (out / "quadruples.csv").read_text()
         assert victim not in quads   # still step-1 paired, never step-2
+
+
+def _outcomes_not_binary(rows, observed):
+    rows[1][2] = "7"
+
+
+def _observed_outcome_changed(rows, observed):
+    row = next(r for r in rows[1:] if observed.get(r[1]))
+    row[2] = "1" if row[2] == "0" else "0"
+
+
+def _duplicate_row(rows, observed):
+    rows.append(list(rows[1]))
+
+
+def _replicates_doubled(rows, observed):
+    for row in rows[1:]:
+        row[0] = str(2 * int(row[0]))
+
+
+def _replicate_missing(rows, observed):
+    rows[1:] = [r for r in rows[1:] if r[0] != "3"]
+
+
+class TestCorruptedImputations:
+    @pytest.mark.parametrize("corrupt, message", [
+        (_outcomes_not_binary, "'7' is not 0 or 1"),
+        (_observed_outcome_changed, "observed outcome"),
+        (_duplicate_row, "duplicate row"),
+        (_replicates_doubled, "is not in 1..8"),
+        (_replicate_missing, "replicate 3 does not cover every record"),
+    ])
+    def test_fit_refuses_corrupted_file(self, workdir, finished, tmp_path,
+                                        capsys, corrupt, message):
+        import csv
+        import shutil
+        _, cfg_path = workdir
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        with open(out / "births.csv", newline="") as fh:
+            observed = {r["child_id"]: r["lbw"] for r in csv.DictReader(fh)}
+        with open(out / "imputations.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        corrupt(rows, observed)
+        with open(out / "imputations.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run_cli("fit", "--config", cfg_path, "--seed", 5,
+                       "--out-dir", out) == 2
+        assert message in capsys.readouterr().err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matchdid.errors import DataValidationError
 from matchdid.infer import (
@@ -11,7 +12,6 @@ from matchdid.infer import (
     build_design,
     did_contrasts,
     fit_mixed_lpm,
-    replicate_fits,
     rubin_combine,
     run_primary_analysis,
     write_results_csv,
@@ -165,7 +165,7 @@ class TestMixedModel:
         y = X @ np.array([0.5, -0.3]) + rng.normal(0, 0.12, 60)[codes] \
             + rng.normal(0, 0.5, n)
         data = MixedModelData(X, codes, ("a", "b"))
-        fit = data.fit(y)
+        fit, = data.fit([y])
         best = data.reml_loglik(y, fit.sigma0_sq, fit.sigma1_sq)
         for _ in range(100):
             s0 = float(rng.uniform(0, 0.2))
@@ -188,6 +188,98 @@ class TestMixedModel:
             fit_mixed_lpm(X, np.zeros(5, dtype=int), np.ones(5), ("a",))
 
 
+def _dense_gls(X, codes, y, theta):
+    """(X'V^-1X)^-1 X'V^-1y with V = I + theta ZZ' built densely."""
+    V = np.eye(len(y)) + theta * (codes[:, None] == codes[None, :])
+    vx = np.linalg.solve(V, X)
+    return np.linalg.solve(vx.T @ X, vx.T @ y)
+
+
+@st.composite
+def small_designs(draw):
+    """A shuffled random-intercept design of 2-8 clusters of 1-6 rows, an
+    intercept plus 1-3 columns, M = 1-4 outcome vectors and an (M, n)
+    binary extra column."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=8))
+    k, m = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    sigma0 = draw(st.floats(0.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(codes)
+    X = np.column_stack([np.ones(n), rng.normal(0, 1, (n, k))])
+    Y = (X @ rng.normal(0, 1, k + 1)
+         + rng.normal(0, sigma0, (m, len(sizes)))[:, codes]
+         + rng.normal(0, 1, (m, n)))
+    U = rng.integers(0, 2, (m, n))
+    assume(n > k + 3 and np.linalg.cond(X) < 1e3)
+    assume(all(np.linalg.cond(np.column_stack([X, u])) < 1e3 for u in U))
+    perm = rng.permutation(n)
+    return X[perm], codes[perm], Y[:, perm], U[:, perm]
+
+
+class TestRemlProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(small_designs())
+    def test_estimates_are_dense_gls_at_fitted_theta(self, case):
+        X, codes, Y, U = case
+        names = tuple(f"x{j}" for j in range(X.shape[1]))
+        data = MixedModelData(X, codes, names)
+        for extra in (None, ("u", U)):
+            for i, fit in enumerate(data.fit(Y, extra=extra)):
+                design = X if extra is None else np.column_stack([X, U[i]])
+                ref = _dense_gls(design, codes, Y[i], fit.theta)
+                got = np.array(list(fit.estimates.values()))
+                assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_designs())
+    def test_fit_does_not_depend_on_the_batch(self, case):
+        X, codes, Y, U = case
+        names = tuple(f"x{j}" for j in range(X.shape[1]))
+        data = MixedModelData(X, codes, names)
+        for extra in (None, ("u", U)):
+            together = data.fit(Y, extra=extra)
+            for i, y in enumerate(Y):
+                alone, = data.fit(
+                    [y], extra=None if extra is None else ("u", U[i:i + 1]))
+                fit = together[i]
+                for a, b in ((fit.theta, alone.theta),
+                             (fit.sigma1_sq, alone.sigma1_sq),
+                             (fit.loglik, alone.loglik)):
+                    assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+                for name in fit.estimates:
+                    assert fit.estimates[name] == pytest.approx(
+                        alone.estimates[name], rel=1e-12, abs=1e-12)
+                    assert fit.standard_errors[name] == pytest.approx(
+                        alone.standard_errors[name], rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_designs())
+    def test_loglik_is_reml_loglik_at_the_fit(self, case):
+        X, codes, Y, _ = case
+        names = tuple(f"x{j}" for j in range(X.shape[1]))
+        data = MixedModelData(X, codes, names)
+        for y, fit in zip(Y, data.fit(Y)):
+            ref = data.reml_loglik(y, fit.sigma0_sq, fit.sigma1_sq)
+            assert fit.loglik == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+    def test_indefinite_replicate_reads_inf_without_aborting(self):
+        # the second replicate's X'X block is indefinite; the first still
+        # gets the criterion it has alone
+        codes = np.repeat(np.arange(3), 2)
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        data = MixedModelData(X, codes, ("a", "b"))
+        y = np.array([0.1, 0.5, 0.2, 0.9, 0.4, 0.3])
+        gram, totals = data._stats([y, y])
+        gram[1, :2, :2] = -np.eye(2)
+        crit, _, _, _ = data.profile_criterion(np.array([0.5, 0.5]),
+                                               (gram, totals))
+        alone, _, _, _ = data.profile_criterion(np.array([0.5]),
+                                                data._stats([y]))
+        assert crit[1] == math.inf
+        assert crit[0] == alone[0]
+
+
 class TestPrimaryAnalysis:
     def test_design_shape_and_indicators(self, scenario, matched, analysis):
         design, _, _ = analysis
@@ -206,7 +298,7 @@ class TestPrimaryAnalysis:
         design, _, sets = analysis
         result = run_primary_analysis(design, sets)
         data = MixedModelData(design.X, design.cluster_codes)
-        fits = replicate_fits(data, [s.lbw for s in sets])
+        fits = data.fit([s.lbw for s in sets])
         for name in REGRESSORS:
             mean = float(np.mean([f.estimates[name] for f in fits]))
             assert result.pooled[name].estimate == pytest.approx(mean, abs=1e-14)
@@ -216,14 +308,6 @@ class TestPrimaryAnalysis:
         result = run_primary_analysis(design, sets)
         for pooled in result.pooled.values():
             assert pooled.total_var >= pooled.within_var
-
-    def test_threads_do_not_change_results(self, analysis):
-        design, _, sets = analysis
-        one = run_primary_analysis(design, sets, threads=1)
-        four = run_primary_analysis(design, sets, threads=4)
-        for name in REGRESSORS:
-            assert one.pooled[name].estimate == four.pooled[name].estimate
-            assert one.pooled[name].total_var == four.pooled[name].total_var
 
     def test_naive_did_uses_observed_only(self, analysis):
         design, _, sets = analysis

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from matchdid.errors import DataValidationError
-from matchdid.infer import REGRESSORS, run_primary_analysis
+from matchdid.infer import REGRESSORS, MixedModelData, run_primary_analysis
 from matchdid.sensan import (
+    U_REGRESSOR,
     case_label,
     default_grid,
     gen_u,
@@ -93,6 +94,20 @@ class TestSensitivityFit:
         down = [sensitivity_fit(design, sets, -20.0, p2, seed=99).k1.estimate
                 for p2 in p2_grid]
         assert all(b > a for a, b in zip(down, down[1:]))  # increasing in p2
+
+
+class TestCollinearU:
+    @pytest.mark.parametrize("column", ["constant", "low_prevalence"])
+    def test_collinear_u_is_refused_by_name(self, analysis, column):
+        design, _, sets = analysis
+        low = design.X[:, design.regressors.index("low_prevalence")]
+        rng = substream(4, "test-collinear")
+        U = rng.integers(0, 2, (len(sets), design.n_records))
+        U[3] = np.ones_like(low) if column == "constant" else low
+        data = MixedModelData(design.X, design.cluster_codes, design.regressors)
+        with pytest.raises(DataValidationError,
+                           match=f"collinear columns: {U_REGRESSOR}"):
+            data.fit([s.lbw for s in sets], extra=(U_REGRESSOR, U))
 
 
 class TestGrid:
