@@ -177,7 +177,7 @@ def pair_within_selection(
     order_t = sorted(range(len(tid)), key=lambda i: tid[i])
     order_c = sorted(range(len(cid)), key=lambda i: cid[i])
     cost = _mahalanobis_cost(u[order_t], v[order_c])
-    pairs = assignment_indices(cost, lexicographic=True)
+    pairs = assignment_indices(cost)
     return [(order_t[i], order_c[j]) for i, j in pairs]
 
 

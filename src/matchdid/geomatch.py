@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
 from ._util import fmt
-from .errors import ConvergenceError, DataValidationError
+from .errors import DataValidationError
 from .model import ClusterPair, ClusterRecord, GeoPoint, PairCategory
 
 EARTH_RADIUS_KM = 6371.0
@@ -156,63 +156,126 @@ def rank_mahalanobis(
     )
 
 
-def assignment_indices(
-    cost: np.ndarray, lexicographic: bool = True
-) -> List[Tuple[int, int]]:
+def assignment_indices(cost: np.ndarray) -> List[Tuple[int, int]]:
     """Exact min-cost assignment of min(n, m) disjoint row/col pairs.
 
-    With ``lexicographic`` the returned pair list (sorted by row) is the
-    lexicographically smallest among all minimum-cost assignments, so the
-    result does not depend on solver internals when optima tie.
+    The returned pair list (sorted by row) is the lexicographically
+    smallest among all assignments whose cost is within
+    1e-9 x max(1, |optimum|) of the optimum, so the result does not depend
+    on solver internals when optima tie.
+
+    One ``linear_sum_assignment`` call solves the matrix padded to square
+    with zero-cost dummy rows and columns, placed after the real ones so a
+    row goes unmatched only when no real column fits. The tie rule then
+    follows from complementary slackness (Burkard, Dell'Amico & Martello,
+    *Assignment Problems*, SIAM 2009, ch. 4): with dual potentials of the
+    optimum, forcing row r onto column c costs the reduced cost of (r, c)
+    plus the shortest reduced-cost alternating path from c's current row
+    back to r's column. Rows are fixed in order. A row keeps its column
+    unless a smaller column fits in the tolerance still unspent; then the
+    assignment is re-augmented along that path and the potentials are
+    shifted by the path distances. Rows with no smaller column whose
+    reduced cost fits, which is almost every row of a tie-free matrix,
+    cost no search at all.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.size == 0:
         raise DataValidationError("cost matrix must be 2-D and nonempty")
     if not np.all(np.isfinite(cost)):
         raise DataValidationError("cost matrix entries must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    best = float(cost[rows, cols].sum())
-    if not lexicographic:
-        return sorted(zip(rows.tolist(), cols.tolist()))
-
-    tol = 1e-9 * max(1.0, abs(best))
     n, m = cost.shape
-    remaining_rows = list(range(n))
-    remaining_cols = list(range(m))
-    pairs: List[Tuple[int, int]] = []
-    pairs_needed = min(n, m)
-    fixed = 0.0
-
-    def completion_cost(row_idx, col_idx):
-        if not row_idx or not col_idx:
-            return 0.0
-        sub = cost[np.ix_(row_idx, col_idx)]
-        r, c = linear_sum_assignment(sub)
-        return float(sub[r, c].sum())
-
-    while len(pairs) < pairs_needed:
-        if not remaining_rows:
-            raise ConvergenceError(
-                "lexicographic assignment refinement lost feasibility; "
-                "cost tolerance too tight for this matrix"
-            )
-        r = remaining_rows[0]
-        rest_rows = remaining_rows[1:]
-        matched = False
-        for c in remaining_cols:
-            rest_cols = [x for x in remaining_cols if x != c]
-            total = fixed + cost[r, c] + completion_cost(rest_rows, rest_cols)
-            if total <= best + tol:
-                pairs.append((r, c))
-                fixed += float(cost[r, c])
-                remaining_rows = rest_rows
-                remaining_cols = rest_cols
-                matched = True
+    size = max(n, m)
+    square = np.zeros((size, size))
+    square[:n, :m] = cost
+    _, col_of = linear_sum_assignment(square)
+    best = float(square[np.arange(size), col_of].sum())
+    slack = 1e-9 * max(1.0, abs(best))
+    row_of = np.argsort(col_of)
+    u, v = _dual_potentials(square, col_of)
+    open_rows = np.ones(size, dtype=bool)
+    for r in range(n):
+        open_rows[r] = False
+        target = col_of[r]
+        # smaller real columns of open rows; every dummy column means
+        # "unmatched", so none of them is an alternative to another
+        cols = np.arange(min(target, m))
+        cols = cols[open_rows[row_of[cols]]]
+        reduced = square[r, cols] - u[r] - v[cols]
+        fits = reduced <= slack
+        cols, reduced = cols[fits], reduced[fits]
+        if not cols.size:
+            continue
+        dist, nxt = _distances_to(square, u, v, col_of, open_rows, target,
+                                  slack - reduced.min())
+        excess = reduced + dist[row_of[cols]]
+        fits = np.flatnonzero(excess <= slack)
+        if not fits.size:
+            continue
+        c = cols[fits[0]]
+        slack -= float(excess[fits[0]])
+        # shifting by the distances, capped at the chosen path's, keeps
+        # every reduced cost nonnegative and the new assignment tight
+        shift = np.minimum(dist, dist[row_of[c]])[open_rows]
+        u[open_rows] += shift
+        v[col_of[open_rows]] -= shift
+        x = row_of[c]
+        col_of[r], row_of[c] = c, r
+        while True:
+            y = nxt[x]
+            owner = row_of[y]
+            col_of[x], row_of[y] = y, x
+            if y == target:
                 break
-        if not matched:
-            # every optimum leaves this row unmatched (only possible n > m)
-            remaining_rows = rest_rows
-    return pairs
+            x = owner
+    return [(r, int(col_of[r])) for r in range(n) if col_of[r] < m]
+
+
+def _dual_potentials(cost: np.ndarray, col_of: np.ndarray):
+    """Potentials u, v with cost - u[:, None] - v >= 0, tight on the
+    optimal assignment ``col_of``.
+
+    v on the column of row x is its shortest-path distance in the graph
+    where row x moving to the column of row x' costs
+    cost[x, col_of[x']] - cost[x, col_of[x]]; an optimal assignment has no
+    negative cycle there. Dense Bellman-Ford, at most n sweeps.
+    """
+    n = len(col_of)
+    own = cost[np.arange(n), col_of]
+    step = cost[:, col_of] - own[:, None]
+    w = np.zeros(n)
+    for _ in range(n):
+        shorter = np.minimum(w, (w[:, None] + step).min(axis=0))
+        if np.array_equal(shorter, w):
+            break
+        w = shorter
+    v = np.empty(n)
+    v[col_of] = w
+    return own - w, v
+
+
+def _distances_to(cost, u, v, col_of, open_rows, target, bound):
+    """Dijkstra over reduced costs, run backwards from column ``target``.
+
+    dist[x] is the least reduced cost of an alternating path on which open
+    row x leaves its column and each row on the path takes the column of
+    the next, the last one taking ``target``; nxt[x] is the column x takes.
+    Rows farther than ``bound``, and closed rows, read inf.
+    """
+    dist = np.where(open_rows, cost[:, target] - u - v[target], np.inf)
+    nxt = np.full(len(dist), target)
+    done = ~open_rows
+    while True:
+        x = int(np.argmin(np.where(done, np.inf, dist)))
+        if done[x] or dist[x] > bound:
+            break
+        done[x] = True
+        y = col_of[x]
+        via = dist[x] + cost[:, y] - u - v[y]
+        closer = ~done & (via < dist)
+        dist[closer] = via[closer]
+        nxt[closer] = y
+    dist[~done] = np.inf
+    return dist, nxt
 
 
 def optimal_pairing(d: DistanceMatrix) -> List[Tuple[str, str]]:
@@ -225,7 +288,7 @@ def optimal_pairing(d: DistanceMatrix) -> List[Tuple[str, str]]:
     order_e = np.argsort(np.array(d.early_ids, dtype=object))
     order_l = np.argsort(np.array(d.late_ids, dtype=object))
     sorted_cost = d.values[np.ix_(order_e, order_l)]
-    pairs = assignment_indices(sorted_cost, lexicographic=True)
+    pairs = assignment_indices(sorted_cost)
     return [(d.early_ids[order_e[i]], d.late_ids[order_l[j]]) for i, j in pairs]
 
 
@@ -235,48 +298,39 @@ def match_country(
     caliper: CaliperSpec = CaliperSpec(),
 ) -> List[ClusterPair]:
     """Run the full step for one country: distances, assignment, and
-    ClusterPair construction with the within-pair Haversine distance."""
+    ClusterPair construction with the pair's rank distance and within-pair
+    Haversine distance."""
     d = rank_mahalanobis(early, late, caliper)
-    by_id = {c.cluster_id: c for c in list(early) + list(late)}
+    row = {cid: i for i, cid in enumerate(d.early_ids)}
+    col = {cid: j for j, cid in enumerate(d.late_ids)}
     pairs = []
     for early_id, late_id in optimal_pairing(d):
-        e, l = by_id[early_id], by_id[late_id]
+        i, j = row[early_id], col[late_id]
+        e, l = early[i], late[j]
         pairs.append(ClusterPair(
             early=e, late=l,
             geo_distance_km=haversine_km(e.location, l.location),
+            rank_distance=float(d.values[i, j]),
         ))
     return pairs
-
-
-def rank_distance_lookup(d: DistanceMatrix) -> dict:
-    idx_e = {cid: i for i, cid in enumerate(d.early_ids)}
-    idx_l = {cid: j for j, cid in enumerate(d.late_ids)}
-    return {
-        (e, l): float(d.values[idx_e[e], idx_l[l]])
-        for e in d.early_ids for l in d.late_ids
-    }
 
 
 # ---------------------------------------------------------------------------
 # pairs.csv
 
 
-def write_pairs_csv(
-    pairs: Sequence[ClusterPair], path, rank_distances: Optional[dict] = None
-) -> None:
+def write_pairs_csv(pairs: Sequence[ClusterPair], path) -> None:
     """country, early_id, late_id, rank_distance, haversine_km, category.
 
     The category column stays empty until classification fills it.
     """
-    rank_distances = rank_distances or {}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(PAIRS_COLUMNS)
         for p in pairs:
-            key = (p.early.cluster_id, p.late.cluster_id)
             writer.writerow([
                 p.country, p.early.cluster_id, p.late.cluster_id,
-                fmt(rank_distances.get(key)), fmt(p.geo_distance_km),
+                fmt(p.rank_distance), fmt(p.geo_distance_km),
                 "" if p.category is None else p.category.value,
             ])
 
@@ -295,10 +349,11 @@ def read_pairs_csv(path, clusters_by_id) -> List[ClusterPair]:
                 raise DataValidationError(
                     f"{path}: pair references unknown cluster {exc}"
                 ) from None
-            category = row["category"]
+            category, rank_distance = row["category"], row["rank_distance"]
             pairs.append(ClusterPair(
                 early=early, late=late,
                 category=None if category == "" else PairCategory(category),
                 geo_distance_km=float(row["haversine_km"]),
+                rank_distance=None if rank_distance == "" else float(rank_distance),
             ))
     return pairs

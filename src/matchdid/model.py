@@ -196,12 +196,18 @@ class BirthRecord:
 
 @dataclass(frozen=True)
 class ClusterPair:
-    """A geographically matched early/late cluster pair within one country."""
+    """A geographically matched early/late cluster pair within one country.
+
+    ``rank_distance`` is the pair's entry in the distance matrix it was
+    matched on (caliper penalty included), kept for pairs.csv; it does not
+    take part in equality.
+    """
 
     early: ClusterRecord
     late: ClusterRecord
     category: Optional[PairCategory] = None
     geo_distance_km: float = 0.0
+    rank_distance: Optional[float] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.early.role is not Role.EARLY or self.late.role is not Role.LATE:

@@ -13,7 +13,7 @@ import csv
 import json
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ._util import sha256_file
 from .cardmatch import (
@@ -25,14 +25,7 @@ from .cardmatch import (
 from .classify import classify_pairs
 from .config import RunConfig
 from .errors import DataValidationError
-from .geomatch import (
-    haversine_km,
-    optimal_pairing,
-    rank_distance_lookup,
-    rank_mahalanobis,
-    read_pairs_csv,
-    write_pairs_csv,
-)
+from .geomatch import match_country, read_pairs_csv, write_pairs_csv
 from .impute import (
     draw_imputations,
     fit_imputation_model,
@@ -208,7 +201,6 @@ def stage_geomatch(cfg: RunConfig, seed: int, out_dir) -> List[ClusterPair]:
     selections = _read_study_years(years_path)
 
     pairs: List[ClusterPair] = []
-    rank_distances = {}
     for country in sorted(selections):
         sel = selections[country]
         if sel is None:
@@ -221,20 +213,11 @@ def stage_geomatch(cfg: RunConfig, seed: int, out_dir) -> List[ClusterPair]:
                        if c.country == country and c.role.value == "late"
                        and c.survey_year == sel.late_year),
                       key=lambda c: c.cluster_id)
-        if not early or not late:
-            continue
-        d = rank_mahalanobis(early, late, cfg.matching.caliper())
-        rank_distances.update(rank_distance_lookup(d))
-        by_id = {c.cluster_id: c for c in early + late}
-        for early_id, late_id in optimal_pairing(d):
-            e, l = by_id[early_id], by_id[late_id]
-            pairs.append(ClusterPair(
-                early=e, late=l,
-                geo_distance_km=haversine_km(e.location, l.location),
-            ))
+        if early and late:
+            pairs.extend(match_country(early, late, cfg.matching.caliper()))
 
     pairs_path = out / "pairs.csv"
-    write_pairs_csv(pairs, pairs_path, rank_distances)
+    write_pairs_csv(pairs, pairs_path)
     _write_manifest("geomatch", out, cfg, seed,
                     list(paths.values()) + [years_path], [pairs_path])
     return pairs
@@ -246,23 +229,11 @@ def stage_classify(cfg: RunConfig, seed: int, out_dir) -> List[ClusterPair]:
     pairs_path = _require(out / "pairs.csv", "match-geo")
     by_id = {c.cluster_id: c for c in clusters}
     pairs = read_pairs_csv(pairs_path, by_id)
-    rank_distances = _reread_rank_distances(pairs_path)
     classified = classify_pairs(pairs, cfg.model)
-    write_pairs_csv(classified, pairs_path, rank_distances)
+    write_pairs_csv(classified, pairs_path)
     _write_manifest("classify", out, cfg, seed, list(paths.values()),
                     [pairs_path])
     return classified
-
-
-def _reread_rank_distances(pairs_path: Path) -> Dict[Tuple[str, str], float]:
-    distances = {}
-    with open(pairs_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row.get("rank_distance"):
-                distances[(row["early_id"], row["late_id"])] = float(
-                    row["rank_distance"]
-                )
-    return distances
 
 
 def _load_classified_pairs(cfg: RunConfig, out: Path):

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from matchdid import geomatch
 from matchdid.errors import DataValidationError
 from matchdid.geomatch import (
     CaliperSpec,
@@ -11,6 +14,8 @@ from matchdid.geomatch import (
     match_country,
     optimal_pairing,
     rank_mahalanobis,
+    read_pairs_csv,
+    write_pairs_csv,
 )
 from matchdid.model import GeoPoint, Role
 
@@ -192,9 +197,116 @@ class TestOptimalPairing:
             assignment_indices(np.array([[np.inf]]))
 
 
+def _reference_lexicographic(cost):
+    """The former O(n^2)-solve refinement: for each row in order, the
+    smallest column whose forced choice still admits a completion within
+    the tolerance, checked by re-solving the rest."""
+    cost = np.asarray(cost, dtype=float)
+    rows, cols = linear_sum_assignment(cost)
+    best = float(cost[rows, cols].sum())
+    tol = 1e-9 * max(1.0, abs(best))
+    n, m = cost.shape
+    remaining_rows = list(range(n))
+    remaining_cols = list(range(m))
+    pairs = []
+    fixed = 0.0
+
+    def completion_cost(row_idx, col_idx):
+        if not row_idx or not col_idx:
+            return 0.0
+        sub = cost[np.ix_(row_idx, col_idx)]
+        r, c = linear_sum_assignment(sub)
+        return float(sub[r, c].sum())
+
+    while len(pairs) < min(n, m):
+        r = remaining_rows[0]
+        rest_rows = remaining_rows[1:]
+        for c in remaining_cols:
+            rest_cols = [x for x in remaining_cols if x != c]
+            total = fixed + cost[r, c] + completion_cost(rest_rows, rest_cols)
+            if total <= best + tol:
+                pairs.append((r, c))
+                fixed += float(cost[r, c])
+                remaining_cols = rest_cols
+                break
+        remaining_rows = rest_rows
+    return pairs
+
+
+def _brute_force_lexicographic(cost):
+    """Lexicographically smallest sorted pair list among all
+    min(n, m)-pair assignments within the tolerance of the optimum."""
+    n, m = cost.shape
+    k = min(n, m)
+    candidates = [
+        (sum(cost[r, c] for r, c in zip(rows, perm)), list(zip(rows, perm)))
+        for rows in itertools.combinations(range(n), k)
+        for perm in itertools.permutations(range(m), k)
+    ]
+    best = min(total for total, _ in candidates)
+    tol = 1e-9 * max(1.0, abs(best))
+    return min(pairs for total, pairs in candidates if total <= best + tol)
+
+
+@st.composite
+def tied_costs(draw):
+    """Integer costs in 0..k times a scale, so optima tie. Near-ties may be
+    added in steps of 1e-3 or 0.3 of the tolerance: the first stay ties,
+    the second let a few accepted excesses use up the tolerance."""
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, 3))
+    scale = draw(st.sampled_from([0.1, 1.0, 1e3]))
+    cells = st.lists(st.integers(0, k), min_size=n * m, max_size=n * m)
+    cost = np.array(draw(cells), dtype=float).reshape(n, m) * scale
+    step = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    if step:
+        rows, cols = linear_sum_assignment(cost)
+        tol = 1e-9 * max(1.0, abs(float(cost[rows, cols].sum())))
+        near = st.lists(st.integers(0, 2), min_size=n * m, max_size=n * m)
+        cost = cost + np.array(draw(near), dtype=float).reshape(n, m) * step * tol
+    return cost
+
+
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(cost):
+        calls.append(np.shape(cost))
+        return linear_sum_assignment(cost)
+    monkeypatch.setattr(geomatch, "linear_sum_assignment", counted)
+    return calls
+
+
+class TestLexicographicAssignment:
+    @settings(max_examples=300, deadline=None)
+    @given(cost=tied_costs())
+    def test_matches_reference_and_brute_force(self, cost):
+        for oriented in (cost, cost.T):
+            pairs = assignment_indices(oriented)
+            assert pairs == _reference_lexicographic(oriented)
+            assert pairs == _brute_force_lexicographic(oriented)
+
+    def test_tie_free_instance_is_one_solve(self, monkeypatch):
+        cost = np.random.default_rng(50).random((50, 50))
+        calls = _count_solves(monkeypatch)
+        pairs = assignment_indices(cost)
+        assert calls == [(50, 50)]
+        assert pairs == _reference_lexicographic(cost)
+
+    def test_overlaid_zero_permutations_stay_one_solve(self, monkeypatch):
+        n = 60
+        rng = np.random.default_rng(60)
+        cost = np.ones((n, n))
+        for _ in range(3):
+            cost[np.arange(n), rng.permutation(n)] = 0.0
+        calls = _count_solves(monkeypatch)
+        pairs = assignment_indices(cost)
+        assert calls == [(n, n)]
+        assert pairs == _reference_lexicographic(cost)
+
+
 class TestMatchCountry:
-    def test_pairs_close_regions(self, scenario):
-        _, data = scenario
+    def _sides(self, data):
         country = data.clusters[0].country
         early = sorted((c for c in data.clusters
                         if c.country == country and c.role is Role.EARLY),
@@ -202,7 +314,28 @@ class TestMatchCountry:
         late = sorted((c for c in data.clusters
                        if c.country == country and c.role is Role.LATE),
                       key=lambda c: c.cluster_id)
+        return early, late
+
+    def test_pairs_close_regions(self, scenario):
+        early, late = self._sides(scenario[1])
         pairs = match_country(early, late)
         assert len(pairs) == min(len(early), len(late))
         # jitter keeps paired clusters a few km apart, regions ~50 km apart
         assert all(p.geo_distance_km < 15.0 for p in pairs)
+
+    def test_rank_distance_survives_pairs_csv(self, scenario, tmp_path):
+        early, late = self._sides(scenario[1])
+        pairs = match_country(early, late)
+        d = rank_mahalanobis(early, late)
+        ids_e, ids_l = list(d.early_ids), list(d.late_ids)
+        assert [p.rank_distance for p in pairs] == [
+            d.values[ids_e.index(p.early.cluster_id),
+                     ids_l.index(p.late.cluster_id)] for p in pairs]
+        path = tmp_path / "pairs.csv"
+        write_pairs_csv(pairs, path)
+        by_id = {c.cluster_id: c for c in early + late}
+        back = read_pairs_csv(path, by_id)
+        assert back == pairs
+        assert [p.rank_distance for p in back] == [p.rank_distance for p in pairs]
+        write_pairs_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
