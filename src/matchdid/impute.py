@@ -12,12 +12,13 @@ approximation before drawing Bernoulli outcomes for the missing records.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import fmt, substream
+from ._util import substream
 from .errors import ConvergenceError, DataValidationError
 from .model import BirthRecord, BirthSize
 
@@ -40,7 +41,7 @@ IMPUTATION_COLUMNS: Tuple[str, ...] = (
 
 MAX_NEWTON_ITER = 100
 GRAD_TOL = 1e-8
-# the only outcome cells write_imputations_csv emits
+# the outcome cells a row of imputations.csv may hold
 _OUTCOME = {"0": 0, "1": 1}
 
 
@@ -270,31 +271,122 @@ def draw_imputations(
 # audit dump
 
 
+# imputations.csv holds the header, then replicates 1..M, each listing every
+# record in order as replicate,child_id,lbw with csv.writer's quoting and
+# CRLF line ends. Within a replicate only the outcome cells vary, so both
+# functions below handle a replicate block at a time.
+_HEADER = ("replicate", "child_id", "lbw")
+_ONE = ord("1")
+
+
+def _row_tails(records: Sequence[BirthRecord]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each record's ``child_id,0\\r\\n`` and ``child_id,1\\r\\n`` as csv.writer
+    writes them after the replicate cell, quoted one record at a time (a
+    quoted child_id may hold a line break)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    tails = []
+    for value in (0, 1):
+        cells = []
+        for r in records:
+            writer.writerow([r.child_id, value])
+            cells.append(buf.getvalue())
+            buf.seek(0)
+            buf.truncate()
+        tails.append(np.array(cells, dtype=object))
+    return tails[0], tails[1]
+
+
+def _block(prefix, rows: list):
+    """One replicate's rows, each after the replicate cell ``prefix``."""
+    return prefix + prefix.join(rows) if rows else prefix[:0]
+
+
 def write_imputations_csv(
     records: Sequence[BirthRecord], sets: Sequence[ImputedSet], path
 ) -> None:
+    """Write the header, then each replicate's rows in record order; this
+    is the only layout ``read_imputations_csv`` accepts."""
+    tail0, tail1 = _row_tails(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "child_id", "lbw"])
+        csv.writer(fh).writerow(_HEADER)
         for s in sets:
-            for r, value in zip(records, s.lbw):
-                writer.writerow([s.replicate, r.child_id, fmt(int(value))])
+            if ((s.lbw != 0) & (s.lbw != 1)).any():
+                raise DataValidationError(
+                    f"replicate {s.replicate} holds an outcome other than 0 or 1")
+            fh.write(_block(f"{s.replicate},",
+                            np.where(s.lbw == 1, tail1, tail0).tolist()))
 
 
 def read_imputations_csv(
     records: Sequence[BirthRecord], path, m: int
 ) -> List[ImputedSet]:
     """Read back what ``write_imputations_csv`` wrote for ``records`` and
-    ``m`` replicates. An outcome other than 0/1, a changed observed
-    outcome, a repeated (replicate, child_id) row or replicate numbers
-    other than 1..m raise ``DataValidationError``."""
+    ``m`` replicates. The file must be byte for byte that layout, with only
+    the outcome cells of records whose outcome is missing free to read 0 or
+    1. Anything else raises ``DataValidationError`` naming the first faulty
+    line: an outcome other than 0/1, a changed observed outcome, a repeated
+    (replicate, child_id) row, replicate numbers other than 1..m, a record
+    left out, or rows that are complete but not in the writer's layout
+    (reordered, other line ends)."""
+    tail0, tail1 = _row_tails(records)
+    observed = np.array([-1 if r.lbw is None else r.lbw for r in records],
+                        dtype=np.int8)
+    missing = np.flatnonzero(observed < 0)
+    # the rows as written, with the observed outcomes and 0 where missing
+    rows = [t.encode() for t in np.where(observed == 1, tail1, tail0)]
+    row_ends = np.cumsum([len(t) for t in rows], dtype=np.int64)
+    header = ",".join(_HEADER).encode() + b"\r\n"
+    sets = []
+    with open(path, "rb") as fh:
+        fault = _compare(fh, header, missing[:0])[1]
+        for rep in range(1, m + 1):
+            if fault is not None:
+                break
+            prefix = f"{rep},".encode()
+            # offsets of the missing records' outcome cells in the block
+            cells = len(prefix) * (missing + 1) + row_ends[missing] - 3
+            got, fault = _compare(fh, _block(prefix, rows), cells)
+            if fault is None:
+                lbw = observed.copy()
+                lbw[missing] = got[cells] == _ONE
+                sets.append(ImputedSet(replicate=rep, lbw=lbw,
+                                       substream_id="from-file"))
+        if fault is None and fh.read(1):
+            fault = fh.tell() - 1
+    if fault is not None:
+        _refuse(records, path, m, fault)
+    return sets
+
+
+def _compare(fh, expected: bytes, cells: np.ndarray):
+    """Read ``len(expected)`` bytes and compare them with ``expected``,
+    where the bytes at offsets ``cells`` may also read 1. Returns the bytes
+    read as uint8 and None, or the file offset of the first byte that
+    departs (or of the end of a short read)."""
+    start = fh.tell()
+    got = np.frombuffer(fh.read(len(expected)), np.uint8)
+    diff = got != np.frombuffer(expected, np.uint8)[:len(got)]
+    cells = cells[cells < len(got)]
+    diff[cells] &= got[cells] != _ONE
+    if diff.any():
+        return got, start + int(diff.argmax())
+    return got, None if len(got) == len(expected) else start + len(got)
+
+
+def _refuse(records: Sequence[BirthRecord], path, m: int, offset: int):
+    """Refuse a file that departs from the writer's layout at byte
+    ``offset``. A row walk words the first fault it finds: a row that is
+    not a 0/1 outcome of a known (replicate, child_id), that changes an
+    observed outcome or repeats a row, or a replicate that misses a record.
+    A file with none of these is complete but not in the writer's layout."""
     by_replicate = {str(rep): np.full(len(records), -1, dtype=np.int8)
                     for rep in range(1, m + 1)}
     index = {r.child_id: i for i, r in enumerate(records)}
     observed = [r.lbw for r in records]
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.DictReader(fh)
-        if list(reader.fieldnames or []) != ["replicate", "child_id", "lbw"]:
+        if list(reader.fieldnames or []) != list(_HEADER):
             raise DataValidationError(f"{path}: unexpected imputations.csv header")
         for row in reader:
             rep, child = row["replicate"], row["child_id"]
@@ -314,11 +406,14 @@ def read_imputations_csv(
                 vec[i] = value
                 continue
             raise DataValidationError(f"{path}, line {reader.line_num}: {problem}")
-    sets = []
     for rep, vec in by_replicate.items():
         if (vec < 0).any():
             raise DataValidationError(
                 f"{path}: replicate {rep} does not cover every record"
             )
-        sets.append(ImputedSet(replicate=int(rep), lbw=vec, substream_id="from-file"))
-    return sets
+    with open(path, "rb") as fh:
+        line = fh.read(offset).count(b"\n") + 1
+    raise DataValidationError(
+        f"{path}, line {line}: not the layout write_imputations_csv writes "
+        f"(header, then replicates 1..{m} each listing every record in "
+        f"order, CRLF line ends)")

@@ -14,6 +14,7 @@ batched matrix products and Cholesky factorisations.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -26,6 +27,8 @@ from ._util import fmt
 from .errors import ConvergenceError, DataValidationError
 from .model import BirthRecord, ModelSpec, PrevalenceLevel, Quadruple
 from .classify import prevalence_level
+
+_log = logging.getLogger(__name__)
 
 # Fixed-effect order of the outcome model: intercept, the three design
 # indicators, then the covariate regressors.
@@ -168,8 +171,13 @@ class MixedFit:
         return np.array([self.estimates[n] for n in names])
 
 
-# Golden-section refinement of log theta: brackets of width 3 around the best
-# grid point, shrunk by 1/phi per step to below 1e-10.
+# Log theta is scanned on a grid, then refined by golden section in brackets
+# of width 3 around the best grid point, shrunk by 1/phi per step to below
+# 1e-10. A refined value within _EDGE_TOL of the outer bracket edges
+# (-15.5, 11.5) did not locate an optimum.
+_SCAN = np.linspace(-14.0, 10.0, 49)
+_HALF_BRACKET = 1.5
+_EDGE_TOL = 1e-9
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEPS = math.ceil(math.log(1e-10 / 3.0) / math.log(_INVPHI))
 # share of u'u an extra column must keep off the span of X
@@ -325,11 +333,16 @@ class MixedModelData:
         crit0, rss0, _, _ = self.profile_criterion(np.zeros(m), stats)
         # degenerate outcome: zero residual variation at theta = 0
         degenerate = rss0 <= 1e-12 * np.maximum(1.0, stats[0][:, q, q])
-        grid = np.linspace(-14.0, 10.0, 49)
-        u = grid[np.argmin([self.profile_criterion(np.full(m, math.exp(g)), stats)[0]
-                            for g in grid], axis=0)]
-        u, best = self._golden_section(u - 1.5, u + 1.5, stats)
+        u = _SCAN[np.argmin([self.profile_criterion(np.full(m, math.exp(g)), stats)[0]
+                             for g in _SCAN], axis=0)]
+        u, best = self._golden_section(u - _HALF_BRACKET, u + _HALF_BRACKET, stats)
         theta = np.where(degenerate | (crit0 <= best), 0.0, np.exp(u))
+        lo, hi = _SCAN[0] - _HALF_BRACKET, _SCAN[-1] + _HALF_BRACKET
+        on_edge = (theta > 0) & ((u < lo + _EDGE_TOL) | (u > hi - _EDGE_TOL))
+        if on_edge.any():
+            _log.warning("%d of %d REML fits ended on the edge of the log "
+                         "variance-ratio range [%g, %g]; they are marked "
+                         "not converged", on_edge.sum(), m, lo, hi)
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
         if not np.isfinite(criterion[~degenerate]).all():
             raise ConvergenceError("REML profile criterion is not finite")
@@ -344,7 +357,7 @@ class MixedModelData:
                          standard_errors=dict(zip(names, se[i])),
                          sigma0_sq=float(theta[i] * sigma1_sq[i]),
                          sigma1_sq=float(sigma1_sq[i]), loglik=float(loglik[i]),
-                         converged=True, theta=float(theta[i]))
+                         converged=not on_edge[i], theta=float(theta[i]))
                 for i in range(m)]
 
 

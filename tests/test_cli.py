@@ -269,6 +269,18 @@ def _replicate_missing(rows, observed):
     rows[1:] = [r for r in rows[1:] if r[0] != "3"]
 
 
+def _rows_reordered(rows, observed):
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def _lf_line_ends(rows, observed):
+    return "\n"        # the line terminator to write the file with
+
+
+def _final_row_cut_short(rows, observed):
+    del rows[-1][2]
+
+
 class TestCorruptedImputations:
     @pytest.mark.parametrize("corrupt, message", [
         (_outcomes_not_binary, "'7' is not 0 or 1"),
@@ -276,6 +288,9 @@ class TestCorruptedImputations:
         (_duplicate_row, "duplicate row"),
         (_replicates_doubled, "is not in 1..8"),
         (_replicate_missing, "replicate 3 does not cover every record"),
+        (_rows_reordered, "line 2: not the layout write_imputations_csv"),
+        (_lf_line_ends, "line 1: not the layout write_imputations_csv"),
+        (_final_row_cut_short, "outcome None is not 0 or 1"),
     ])
     def test_fit_refuses_corrupted_file(self, workdir, finished, tmp_path,
                                         capsys, corrupt, message):
@@ -288,9 +303,9 @@ class TestCorruptedImputations:
             observed = {r["child_id"]: r["lbw"] for r in csv.DictReader(fh)}
         with open(out / "imputations.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        corrupt(rows, observed)
+        terminator = corrupt(rows, observed) or "\r\n"
         with open(out / "imputations.csv", "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
+            csv.writer(fh, lineterminator=terminator).writerows(rows)
         assert run_cli("fit", "--config", cfg_path, "--seed", 5,
                        "--out-dir", out) == 2
         assert message in capsys.readouterr().err

@@ -1,16 +1,22 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from matchdid._util import fmt
 from matchdid.errors import DataValidationError
 from matchdid.impute import (
     IMPUTATION_COLUMNS,
+    ImputedSet,
     design_matrix,
     draw_imputations,
     fit_imputation_model,
     penalized_logistic_mode,
     prior_scales,
+    read_imputations_csv,
+    write_imputations_csv,
     _objective,
 )
 from matchdid.model import BirthSize, ModelSpec
@@ -180,3 +186,69 @@ class TestDraw:
                 p_avg = 1 / (1 + math.exp(-float(x_avg @ draw)))
                 p_small = 1 / (1 + math.exp(-float(x_small @ draw)))
                 assert p_small > p_avg
+
+
+def _reference_write(records, sets, path):
+    """The former writer: one csv.writer row per replicate and record."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replicate", "child_id", "lbw"])
+        for s in sets:
+            for r, value in zip(records, s.lbw):
+                writer.writerow([s.replicate, r.child_id, fmt(int(value))])
+
+
+@st.composite
+def imputed_files(draw):
+    """Records with child_ids that need quoting, their observed outcomes
+    (None where missing) and 1-5 completed replicates."""
+    ids = draw(st.lists(
+        st.text(st.sampled_from(',"\n\r xé漢') | st.characters(codec="utf-8"),
+                max_size=6),
+        min_size=1, max_size=12, unique=True))
+    observed = draw(st.lists(st.sampled_from([0, 1, None]),
+                             min_size=len(ids), max_size=len(ids)))
+    records = [make_birth(child_id=c, lbw=v) for c, v in zip(ids, observed)]
+    m = draw(st.integers(1, 5))
+    sets = []
+    for rep in range(1, m + 1):
+        lbw = [draw(st.sampled_from([0, 1])) if v is None else v
+               for v in observed]
+        sets.append(ImputedSet(replicate=rep, substream_id="drawn",
+                               lbw=np.array(lbw, dtype=np.int8)))
+    return records, sets
+
+
+class TestImputationsCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(imputed_files())
+    def test_round_trip_matches_the_row_writer(self, tmp_path_factory, case):
+        records, sets = case
+        root = tmp_path_factory.mktemp("imputations")
+        write_imputations_csv(records, sets, root / "new.csv")
+        _reference_write(records, sets, root / "reference.csv")
+        assert ((root / "new.csv").read_bytes()
+                == (root / "reference.csv").read_bytes())
+        back = read_imputations_csv(records, root / "new.csv", len(sets))
+        assert [s.replicate for s in back] == [s.replicate for s in sets]
+        for got, want in zip(back, sets):
+            assert got.lbw.dtype == np.int8
+            assert np.array_equal(got.lbw, want.lbw)
+
+    def test_writer_refuses_outcomes_other_than_0_or_1(self, tmp_path):
+        records = [make_birth(child_id="a", lbw=None)]
+        sets = [ImputedSet(replicate=1, lbw=np.array([2], dtype=np.int8),
+                           substream_id="drawn")]
+        with pytest.raises(DataValidationError, match="other than 0 or 1"):
+            write_imputations_csv(records, sets, tmp_path / "i.csv")
+
+    def test_bytes_that_are_not_utf8_are_refused(self, tmp_path):
+        records = [make_birth(child_id="a", lbw=None)]
+        sets = [ImputedSet(replicate=1, lbw=np.array([1], dtype=np.int8),
+                           substream_id="drawn")]
+        path = tmp_path / "i.csv"
+        write_imputations_csv(records, sets, path)
+        path.write_bytes(path.read_bytes().replace(b"1,a,", b"1,\xff,"))
+        with pytest.raises(DataValidationError, match="line 2: imputation "
+                                                      "row for unknown child"):
+            read_imputations_csv(records, path, 1)

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -114,6 +115,24 @@ class TestMixedModel:
         fit = fit_mixed_lpm(X, codes, np.zeros(50), ("a", "b"))
         assert fit.estimates["a"] == 0.0 and fit.estimates["b"] == 0.0
         assert fit.sigma0_sq == 0.0
+
+    def test_fit_on_the_scan_edge_is_not_converged(self, caplog):
+        # y is a cluster effect plus 1e-7 noise, so the REML optimum lies
+        # far beyond the largest scanned log theta; the second replicate
+        # is an ordinary one in the same batch
+        rng = np.random.default_rng(0)
+        codes = np.repeat(np.arange(30), 8)
+        X = np.column_stack([np.ones(240), rng.normal(size=240)])
+        effect = rng.normal(size=30)[codes]
+        Y = [effect + 1e-7 * rng.normal(size=240),
+             effect + rng.normal(size=240)]
+        with caplog.at_level(logging.WARNING, logger="matchdid.infer"):
+            edge, normal = MixedModelData(X, codes, ("a", "b")).fit(Y)
+        assert math.log(edge.theta) == pytest.approx(11.5, abs=1e-9)
+        assert edge.converged is False
+        assert 0.0 < normal.theta < 10.0 and normal.converged is True
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "1 of 2 REML fits" in caplog.records[0].getMessage()
 
     def test_noiseless_cell_means_recover_contrasts(self):
         # four clusters laid out as the four design cells, three rows each
