@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from ._util import fmt
 from .errors import DataValidationError
@@ -94,6 +93,19 @@ def _logistic_propensity(coords: np.ndarray, is_late: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-eta))
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``values``; tied values share the mean of their ranks.
+    Each mean is a half-integer, so the ranks are exact in float64."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # run r of equal values holds the ranks edges[r] + 1 .. edges[r + 1]
+    edges = np.flatnonzero(np.concatenate(
+        [[True], ordered[1:] != ordered[:-1], [True]]))
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((edges[:-1] + edges[1:] + 1) / 2.0, np.diff(edges))
+    return ranks
+
+
 def rank_mahalanobis(
     early: Sequence[ClusterRecord],
     late: Sequence[ClusterRecord],
@@ -113,8 +125,7 @@ def rank_mahalanobis(
          for c in list(early) + list(late)]
     )
     n_early = len(early)
-    ranks = np.column_stack([rankdata(coords[:, j], method="average")
-                             for j in range(2)])
+    ranks = np.column_stack([average_ranks(coords[:, j]) for j in range(2)])
     cov = np.cov(ranks, rowvar=False, ddof=1)
     cov = np.atleast_2d(cov)
     try:

@@ -5,10 +5,13 @@ imputed data sets.
 The REML criterion is profiled over the variance ratio theta =
 sigma0^2/sigma1^2; for a random intercept the per-cluster inverse
 (I + theta J)^-1 = I - theta/(1 + theta n_i) J collapses everything to
-cluster totals. A replicate enters only through its outcome cross products
-and cluster totals, so all M replicates are fitted together: one profile
-evaluation takes one variance ratio per replicate and costs O(M C p^2) in
-batched matrix products and Cholesky factorisations.
+cluster totals, weighted only through the cluster size n_i. So once per fit
+the outer products of the cluster totals are summed within each of the S
+cluster sizes, and all M replicates are fitted together: one profile
+evaluation takes one variance ratio per replicate, forms the bordered
+matrix [X, y]'V^-1[X, y] from the S class sums in O(M S p^2), and reads the
+criterion off one batched Cholesky factorisation of it (Bates and DebRoy,
+JMVA 2004).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import t as t_dist
+from scipy.special import stdtr, stdtrit
 
 from ._util import fmt
 from .errors import ConvergenceError, DataValidationError
@@ -208,11 +211,12 @@ class MixedModelData:
         starts = np.concatenate([[0], np.flatnonzero(np.diff(codes)) + 1])
         self.starts = starts
         self.cluster_sizes = np.diff(np.concatenate([starts, [self.n]]))
+        # V^-1 weights a cluster only through its size, so the clusters
+        # are grouped into size classes
+        self.sizes, self.size_counts = np.unique(self.cluster_sizes,
+                                                 return_counts=True)
         self.xtx = self.X.T @ self.X
         self.cluster_x_totals = np.add.reduceat(self.X, starts, axis=0)
-        # per-cluster outer products of the x-totals, (C, p, p)
-        self.cluster_x_outer = np.einsum("ci,cj->cij", self.cluster_x_totals,
-                                         self.cluster_x_totals)
 
     def _check_rank(self):
         rank = np.linalg.matrix_rank(self.X)
@@ -225,13 +229,16 @@ class MixedModelData:
                                       f"collinear columns: {cols}")
 
     def _stats(self, Y, extra=None):
-        """Per replicate i the cross products (M, k, k) of [X, V_i] and the
-        cluster totals (M, C, k - p) of V_i, where V_i = [U[i], Y[i]] for
-        ``extra`` = (name, U) and [Y[i]] otherwise: X'X bordered by the
-        replicate's own columns, built one replicate at a time."""
+        """Per replicate i the cross products (M, k, k) of [X, V_i] and
+        their size-class sums (M, S, k, k): class s sums t t' over the
+        clusters of size ``sizes[s]``, with t a cluster's totals of
+        [X, V_i]. V_i = [U[i], Y[i]] for ``extra`` = (name, U) and [Y[i]]
+        otherwise. The sums are built one class at a time, so no (M, C, k)
+        array is formed."""
         p, m, U = self.p, len(Y), None if extra is None else extra[1]
         k = p + 1 + (U is not None)
-        gram, totals = np.empty((m, k, k)), np.empty((m, len(self.starts), k - p))
+        gram = np.empty((m, k, k))
+        v_totals = np.empty((m, len(self.starts), k - p))
         gram[:, :p, :p] = self.xtx
         for i, y in enumerate(Y):
             v = np.column_stack([y] if U is None else [U[i], y])
@@ -239,7 +246,15 @@ class MixedModelData:
             gram[i, p:, :p] = v.T @ self.X
             gram[i, :p, p:] = gram[i, p:, :p].T
             gram[i, p:, p:] = v.T @ v
-            totals[i] = np.add.reduceat(v, self.starts, axis=0)
+            v_totals[i] = np.add.reduceat(v, self.starts, axis=0)
+        classes = np.empty((m, len(self.sizes), k, k))
+        totals = np.empty((m, self.size_counts.max(), k))
+        for j, size in enumerate(self.sizes):
+            members = self.cluster_sizes == size
+            t = totals[:, :self.size_counts[j]]
+            t[..., :p] = self.cluster_x_totals[members]
+            t[..., p:] = v_totals[:, members]
+            np.einsum("mci,mcj->mij", t, t, out=classes[:, j])
         if U is not None:
             # u lies in the span of X when its residual on X, the Schur
             # complement of X'X, vanishes; X'X is scaled to unit diagonal
@@ -250,54 +265,59 @@ class MixedModelData:
                       <= _COLLINEAR_TOL * gram[:, p, p]):
                 raise DataValidationError(f"design matrix is rank deficient; "
                                           f"collinear columns: {extra[0]}")
-        return gram, totals
+        return gram, classes
 
     def profile_criterion(self, theta: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
         """-2 REML log-likelihood up to a constant, profiled over sigma1^2,
         at one variance ratio per replicate. Returns (criterion, rss, chol,
-        z) with chol the Cholesky factor of X'V^-1X and z = chol^-1 X'V^-1y;
-        the criterion is +inf where X'V^-1X is not positive definite and
-        -inf where the residual vanishes."""
-        gram, totals = stats
+        z) with chol the Cholesky factor of X'V^-1X and z = chol^-1 X'V^-1y.
+
+        On a cluster of size n, V^-1 = I - c J with c = theta / (1 + theta n),
+        so [X, V]'V^-1[X, V] is the cross products less the size-class
+        sums, each weighted by its class's c. One Cholesky factor
+        L of that bordered matrix gives chol = L[:q, :q], z = L[q, :q] and
+        rss = L[q, q]^2 (Bates and DebRoy 2004). Where it fails, each
+        replicate is scored alone: the criterion is +inf where X'V^-1X is
+        not positive definite and -inf where the residual vanishes."""
+        gram, classes = stats
         q = gram.shape[-1] - 1
-        c = theta[:, None] / (1.0 + theta[:, None] * self.cluster_sizes)
-        # [X, V]'V^-1[X, V] up to sigma1^2, block by block so that no
-        # (M, C, p) array is formed; einsum, not BLAS, keeps each
+        c = theta[:, None] / (1.0 + theta[:, None] * self.sizes)
+        # every einsum operand carries the replicate axis, which keeps each
         # replicate's sums independent of the batch
-        cv = c[..., None] * totals
-        xv = self.cluster_x_totals.T @ cv
-        w = gram - np.block([
-            [np.einsum("mc,cij->mij", c, self.cluster_x_outer), xv],
-            [np.swapaxes(xv, 1, 2), np.swapaxes(totals, 1, 2) @ cv]])
+        w = gram - np.einsum("ms,msij->mij", c, classes)
         try:
-            chol = np.linalg.cholesky(w[:, :q, :q])
+            factor = np.linalg.cholesky(w)
+            chol, z = factor[:, :q, :q], factor[:, q, :q]
+            rss = factor[:, q, q] ** 2
         except np.linalg.LinAlgError:
-            # score each replicate alone; one whose X'V^-1X is not positive
-            # definite reads +inf instead of aborting the batch
-            if len(theta) == 1:
+            if len(theta) > 1:
+                parts = [self.profile_criterion(
+                    theta[i:i + 1], tuple(a[i:i + 1] for a in stats))
+                    for i in range(len(theta))]
+                return tuple(np.concatenate(part) for part in zip(*parts))
+            try:
+                chol = np.linalg.cholesky(w[:, :q, :q])
+            except np.linalg.LinAlgError:
                 return (np.full(1, np.inf), np.full(1, np.inf),
                         np.eye(q)[None], np.zeros((1, q)))
-            parts = [self.profile_criterion(theta[i:i + 1],
-                                            (gram[i:i + 1], totals[i:i + 1]))
-                     for i in range(len(theta))]
-            return tuple(np.concatenate(part) for part in zip(*parts))
-        z = np.linalg.solve(chol, w[:, :q, q:])[..., 0]
-        rss = np.maximum(w[:, q, q] - (z * z).sum(axis=1), 0.0)
+            z = scipy.linalg.solve_triangular(chol[0], w[0, :q, q], lower=True)[None]
+            rss = np.maximum(w[:, q, q] - (z * z).sum(axis=1), 0.0)
+        logdet_v = self.size_counts * np.log1p(theta[:, None] * self.sizes)
         logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                  + np.log1p(theta[:, None] * self.cluster_sizes).sum(axis=1))
+                  + logdet_v.sum(axis=1))
         with np.errstate(divide="ignore"):
             return (self.n - q) * np.log(rss) + logdet, rss, chol, z
 
     def reml_loglik(self, y: np.ndarray, sigma0_sq: float, sigma1_sq: float) -> float:
         """Full REML log-likelihood of one outcome at arbitrary variance
-        components."""
+        components, summed cluster by cluster."""
         if sigma1_sq <= 0:
             return -math.inf
-        gram, totals = (a[0] for a in self._stats([y]))
-        totals = np.column_stack([self.cluster_x_totals, totals])
+        xy = np.column_stack([self.X, np.asarray(y, dtype=float)[self.order]])
+        totals = np.add.reduceat(xy, self.starts, axis=0)
         theta, p = sigma0_sq / sigma1_sq, self.p
         c = theta / (1.0 + theta * self.cluster_sizes)
-        w = gram - (totals * c[:, None]).T @ totals
+        w = xy.T @ xy - (totals * c[:, None]).T @ totals
         chol = np.linalg.cholesky(w[:p, :p])
         gamma = scipy.linalg.cho_solve((chol, True), w[:p, p])
         rss = max(w[p, p] - float(w[:p, p] @ gamma), 0.0)
@@ -331,20 +351,29 @@ class MixedModelData:
         stats = self._stats(Y, extra)
         m, q = len(Y), len(names)
         crit0, rss0, _, _ = self.profile_criterion(np.zeros(m), stats)
-        # degenerate outcome: zero residual variation at theta = 0
+        # degenerate outcome: zero residual variation at theta = 0. It keeps
+        # theta = 0 and stays out of the search, where its vanishing
+        # residual would have every evaluation score the batch one
+        # replicate at a time
         degenerate = rss0 <= 1e-12 * np.maximum(1.0, stats[0][:, q, q])
-        u = _SCAN[np.argmin([self.profile_criterion(np.full(m, math.exp(g)), stats)[0]
-                             for g in _SCAN], axis=0)]
-        u, best = self._golden_section(u - _HALF_BRACKET, u + _HALF_BRACKET, stats)
-        theta = np.where(degenerate | (crit0 <= best), 0.0, np.exp(u))
+        live = ~degenerate
+        # a copy of the statistics only when some replicate is left out
+        search = stats if live.all() else tuple(a[live] for a in stats)
+        u = _SCAN[np.argmin([
+            self.profile_criterion(np.full(live.sum(), math.exp(g)), search)[0]
+            for g in _SCAN], axis=0)]
+        u, best = self._golden_section(u - _HALF_BRACKET, u + _HALF_BRACKET, search)
+        theta, on_edge = np.zeros(m), np.zeros(m, dtype=bool)
+        theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
         lo, hi = _SCAN[0] - _HALF_BRACKET, _SCAN[-1] + _HALF_BRACKET
-        on_edge = (theta > 0) & ((u < lo + _EDGE_TOL) | (u > hi - _EDGE_TOL))
+        on_edge[live] = (theta[live] > 0) & ((u < lo + _EDGE_TOL)
+                                             | (u > hi - _EDGE_TOL))
         if on_edge.any():
             _log.warning("%d of %d REML fits ended on the edge of the log "
                          "variance-ratio range [%g, %g]; they are marked "
                          "not converged", on_edge.sum(), m, lo, hi)
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
-        if not np.isfinite(criterion[~degenerate]).all():
+        if not np.isfinite(criterion[live]).all():
             raise ConvergenceError("REML profile criterion is not finite")
         gamma = np.linalg.solve(np.swapaxes(chol, 1, 2), z[..., None])[..., 0]
         sigma1_sq = np.where(degenerate, 0.0, rss / (self.n - q))
@@ -420,9 +449,10 @@ def _pool_one(estimates: np.ndarray, variances: np.ndarray) -> PooledEstimate:
         half = 0.0
         p_value = 1.0 if gamma_bar == 0.0 else 0.0
     else:
-        half = float(t_dist.ppf(0.975, df)) * math.sqrt(t_total)
+        # Student t quantile and upper tail, as scipy.stats.t computes them
+        half = float(stdtrit(df, 0.975)) * math.sqrt(t_total)
         stat = abs(gamma_bar) / math.sqrt(t_total)
-        p_value = float(2.0 * t_dist.sf(stat, df))
+        p_value = float(2.0 * stdtr(df, -stat))
     return PooledEstimate(
         estimate=gamma_bar, between_var=b, within_var=v_bar,
         total_var=t_total, df=df,

@@ -12,6 +12,7 @@ the same (config, seed) always produces byte-identical files.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -114,6 +115,20 @@ class ScenarioData:
 
 def _sigmoid(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def _cdf(p) -> List[float]:
+    """The normalised cumulative sums that ``Generator.choice(a, p=p)``
+    searches with one ``random()`` draw."""
+    cdf = np.cumsum(np.asarray(p, dtype=float))
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _choice(rng, values, cdf):
+    """``rng.choice(values, p=p)`` for ``cdf = _cdf(p)``: the same draw and
+    the same value, without the per-call checks."""
+    return values[bisect.bisect_right(cdf, rng.random())]
 
 
 def _region_kind(u: float, cfg: ScenarioConfig) -> str:
@@ -284,10 +299,12 @@ def _gen_births(
 ) -> List[BirthRecord]:
     rng = substream(seed, "births", ci, ri, period)
     u_true = cfg.u_true
+    order_cdf = _cdf([0.25, 0.45, 0.30])
+    size_cdf = {1: _cdf(cfg.size_given_lbw), 0: _cdf(cfg.size_given_normal)}
     out = []
     for bi in range(cfg.births_per_cluster):
         age = int(rng.integers(15, 45))
-        order = int(rng.choice([1, 2, 3], p=[0.25, 0.45, 0.30]))
+        order = _choice(rng, (1, 2, 3), order_cdf)
         wealth = 1 + int(rng.binomial(4, _sigmoid(0.5 * ses)))
         urban = int(rng.random() < urban_frac)
         educ = int(rng.binomial(2, educ_mean / 2.0))
@@ -305,14 +322,13 @@ def _gen_births(
             pu = 0.5 + u_true.p1 / 100.0 * low_prev
             u = int(rng.random() < pu)
             p += u_true.lam * u
-        p = float(np.clip(p, *CLIP_BOUNDS))
+        p = float(min(max(p, CLIP_BOUNDS[0]), CLIP_BOUNDS[1]))
         lbw = int(rng.random() < p)
 
         # reported size is informative for the outcome
-        probs = cfg.size_given_lbw if lbw else cfg.size_given_normal
-        size = rng.choice(["Small", "Average", "Large"], p=list(probs))
+        size = _choice(rng, ("Small", "Average", "Large"), size_cdf[lbw])
         reported = (None if rng.random() < cfg.missing_size_rate
-                    else BirthSize(str(size)))
+                    else BirthSize(size))
 
         out.append(BirthRecord(
             child_id=f"{cluster.cluster_id}-B{bi:04d}",

@@ -149,6 +149,23 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert bad.returncode == 1
 
+    def test_import_loads_no_scipy_stats(self):
+        # scipy.stats roughly doubles the import time of every matchdid
+        # process; the package needs none of it
+        import os
+        import subprocess
+        import sys
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
+                     else [])))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, matchdid; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
 
 @pytest.fixture(scope="module")
 def finished(workdir, tmp_path_factory):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.stats import rankdata
 
 from matchdid import geomatch
 from matchdid.errors import DataValidationError
 from matchdid.geomatch import (
     CaliperSpec,
     assignment_indices,
+    average_ranks,
     haversine_km,
     match_country,
     optimal_pairing,
@@ -129,6 +131,16 @@ class TestRankMahalanobis:
     def test_empty_side_rejected(self):
         with pytest.raises(DataValidationError):
             rank_mahalanobis([], self._clusters([(0, 0)], Role.LATE, 2012))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                              st.floats(allow_nan=False)),
+                    min_size=1, max_size=40))
+    def test_average_ranks_match_scipy(self, values):
+        # small integers make ties likely; +-0.0 and infinities tie too
+        values = np.array(values)
+        got = average_ranks(values)
+        assert np.array_equal(got, rankdata(values, method="average"))
 
 
 def brute_force_assignment_cost(cost):

@@ -10,6 +10,7 @@ from matchdid.infer import (
     COVARIATE_REGRESSORS,
     REGRESSORS,
     MixedModelData,
+    _SCAN,
     build_design,
     did_contrasts,
     fit_mixed_lpm,
@@ -289,14 +290,89 @@ class TestRemlProperties:
         X = np.column_stack([np.ones(6), np.arange(6.0)])
         data = MixedModelData(X, codes, ("a", "b"))
         y = np.array([0.1, 0.5, 0.2, 0.9, 0.4, 0.3])
-        gram, totals = data._stats([y, y])
+        gram, classes = data._stats([y, y])
         gram[1, :2, :2] = -np.eye(2)
         crit, _, _, _ = data.profile_criterion(np.array([0.5, 0.5]),
-                                               (gram, totals))
+                                               (gram, classes))
         alone, _, _, _ = data.profile_criterion(np.array([0.5]),
                                                 data._stats([y]))
         assert crit[1] == math.inf
         assert crit[0] == alone[0]
+
+    def test_degenerate_replicate_does_not_slow_the_batch(self, monkeypatch):
+        # y = 0 has no residual at any theta, so the bordered factor fails
+        # for any batch holding it and the batch is scored one replicate
+        # at a time
+        rng = np.random.default_rng(3)
+        codes = np.repeat(np.arange(12), 5)
+        X = np.column_stack([np.ones(60), rng.normal(size=60)])
+        y = rng.normal(size=12)[codes] + rng.normal(size=60)
+        data = MixedModelData(X, codes, ("a", "b"))
+        calls = []
+        criterion = MixedModelData.profile_criterion
+
+        def counted(self, theta, stats):
+            calls.append(len(theta))
+            return criterion(self, theta, stats)
+
+        monkeypatch.setattr(MixedModelData, "profile_criterion", counted)
+        alone, = data.fit([y])
+        n_alone = len(calls)
+        flat, fit = data.fit([np.zeros(60), y])
+        assert flat.theta == 0.0 and flat.sigma0_sq == 0.0
+        assert fit == alone
+        # the search scores the ordinary replicate only; the evaluations at
+        # theta = 0 and at the fitted theta take the whole batch and so
+        # score its two replicates alone, one more call each
+        batch_calls = len(calls) - n_alone
+        assert batch_calls <= n_alone + 2 * 2
+
+
+def _seeded_tiny_designs(n_seeds=80):
+    """Fixed tiny designs: 2-8 clusters of 1-6 rows, an intercept plus 1-3
+    columns, M = 2-4 outcome vectors and an (M, n) binary extra column
+    that keeps [X, u] well conditioned."""
+    for seed in range(n_seeds):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 7, int(rng.integers(2, 9)))
+        k, m = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        codes = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(codes)
+        X = np.column_stack([np.ones(n), rng.normal(0, 1, (n, k))])
+        Y = (X @ rng.normal(0, 1, k + 1)
+             + rng.normal(0, 1, (m, len(sizes)))[:, codes]
+             + rng.normal(0, 1, (m, n)))
+        U = rng.integers(0, 2, (m, n))
+        if n <= k + 3 or not all(
+                np.linalg.cond(np.column_stack([X, u])) < 1e3 for u in U):
+            continue
+        perm = rng.permutation(n)
+        yield X[perm], codes[perm], Y[:, perm], U[:, perm]
+
+
+class TestBatchIndependence:
+    def test_profile_is_bit_equal_in_a_batch_and_alone(self):
+        # a replicate's criterion must not depend on the replicates it is
+        # evaluated with, down to the last bit, at every scanned theta
+        designs = mismatches = values = 0
+        for X, codes, Y, U in _seeded_tiny_designs():
+            designs += 1
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            for extra in (None, ("u", U)):
+                together = data._stats(Y, extra)
+                alone = [data._stats([y], None if extra is None
+                                     else ("u", U[i:i + 1]))
+                         for i, y in enumerate(Y)]
+                for g in _SCAN:
+                    theta = np.full(len(Y), math.exp(g))
+                    batch = data.profile_criterion(theta, together)[0]
+                    for i, stats in enumerate(alone):
+                        lone = data.profile_criterion(theta[i:i + 1], stats)[0]
+                        mismatches += int(batch[i] != lone[0])
+                        values += 1
+        assert designs >= 40
+        assert mismatches == 0, f"{mismatches} of {values} values differ"
 
 
 class TestPrimaryAnalysis:
