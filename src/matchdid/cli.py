@@ -54,7 +54,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config, args.preset)
         stage = _STAGES.get(args.command, f"stage_{args.command}")
-        getattr(pipeline, stage)(cfg, args.seed, args.out_dir)
+        ws = pipeline.Workspace(cfg, args.out_dir)
+        getattr(pipeline, stage)(ws, args.seed)
     except ConfigError as exc:
         print(f"error (config): {exc}", file=sys.stderr)
         return 1

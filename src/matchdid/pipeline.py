@@ -5,6 +5,11 @@ configured input paths), writes its own artifacts, and drops a manifest
 with input/output hashes, the seed, and a config snapshot. Stages are
 deterministic: re-running one with unchanged inputs and seed reproduces
 its artifacts byte for byte.
+
+Every stage takes a ``Workspace`` and the seed. The workspace parses the
+input tables at most once, so the stages of one ``run_pipeline`` call
+share a single parse; stage artifacts are read from disk on every call,
+because later stages rewrite them.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import defaultdict
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -27,12 +33,14 @@ from .config import RunConfig
 from .errors import DataValidationError
 from .geomatch import match_country, read_pairs_csv, write_pairs_csv
 from .impute import (
+    ImputedSet,
     draw_imputations,
     fit_imputation_model,
     read_imputations_csv,
     write_imputations_csv,
 )
 from .infer import (
+    InferenceDesign,
     build_design,
     run_primary_analysis,
     write_diagnostics_csv,
@@ -48,7 +56,7 @@ from .ingest import (
     select_study_years,
     write_births_csv,
 )
-from .model import ClusterPair, PairCategory
+from .model import ClusterPair, PairCategory, Quadruple
 from .report import match_diagnostics, write_match_diagnostics_csv
 from .sensan import sensitivity_grid, write_sensitivity_csv
 from .synth import gen_scenario
@@ -57,66 +65,107 @@ STUDY_YEARS_COLUMNS = ["country", "early_year", "late_year",
                        "prevalence_early_year", "prevalence_late_year",
                        "included"]
 
+INPUTS = ("clusters.csv", "prevalence.csv", "births.csv")
+DESIGN_INPUTS = (*INPUTS, "pairs.csv", "quadruples.csv")
 
-def _out(out_dir) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+# the command that writes each stage artifact a later stage reads
+PRODUCERS = {"study_years.csv": "ingest", "pairs.csv": "match-geo",
+             "quadruples.csv": "match-card", "imputations.csv": "impute"}
 
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
+class Workspace:
+    """One run's config, output directory and input tables.
+
+    The input tables are parsed on first use and kept; every stage
+    artifact is read from disk each time it is asked for.
+    """
+
+    def __init__(self, cfg: RunConfig, out_dir) -> None:
+        self.cfg = cfg
+        self.out = Path(out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.inputs = {
+            name: Path(getattr(cfg.inputs, Path(name).stem) or self.out / name)
+            for name in INPUTS
+        }
+
+    def path(self, name: str) -> Path:
+        return self.inputs.get(name, self.out / name)
+
+    def artifact(self, name: str) -> Path:
+        """Path of an input table or stage artifact, refused if missing."""
+        path = self.path(name)
+        if path.exists():
+            return path
+        if name in self.inputs:
+            raise DataValidationError(
+                f"missing input {path.name}; run the simulate stage first "
+                f"or set [inputs] paths")
         raise DataValidationError(
-            f"missing artifact {path.name}; run the {producer} stage first"
-        )
-    return path
+            f"missing artifact {name}; run the {PRODUCERS[name]} stage first")
 
+    @cached_property
+    def tables(self):
+        """``(clusters, births, warnings)`` parsed from the input files."""
+        paths = [self.artifact(name) for name in INPUTS]
+        clusters, warnings_c = read_clusters(paths[0], paths[1])
+        births, warnings_b = read_births(paths[2])
+        return clusters, births, warnings_c + warnings_b
 
-def _input_paths(cfg: RunConfig, out: Path) -> Dict[str, Path]:
-    return {
-        "clusters": Path(cfg.inputs.clusters or out / "clusters.csv"),
-        "prevalence": Path(cfg.inputs.prevalence or out / "prevalence.csv"),
-        "births": Path(cfg.inputs.births or out / "births.csv"),
-    }
+    def pairs(self, classified: bool = True) -> List[ClusterPair]:
+        by_id = {c.cluster_id: c for c in self.tables[0]}
+        pairs = read_pairs_csv(self.artifact("pairs.csv"), by_id)
+        if classified and any(p.category is None for p in pairs):
+            raise DataValidationError(
+                "pairs.csv has unclassified pairs; run the classify stage first"
+            )
+        return pairs
 
+    def quadruples(self) -> List[Quadruple]:
+        pairs = {(p.early.cluster_id, p.late.cluster_id): p
+                 for p in self.pairs()}
+        return read_quadruples_csv(self.artifact("quadruples.csv"), pairs)
 
-def _write_manifest(stage, out: Path, cfg: RunConfig, seed,
-                    inputs: Sequence[Path], outputs: Sequence[Path]) -> Path:
-    manifest = {
-        "stage": stage,
-        "seed": seed,
-        "preset": cfg.preset,
-        "config": cfg.snapshot(),
-        "inputs": {p.name: sha256_file(p) for p in inputs},
-        "outputs": {p.name: sha256_file(p) for p in outputs},
-    }
-    path = out / f"{stage}_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    def design(self) -> InferenceDesign:
+        quadruples = self.quadruples()
+        filtered, _ = filter_births(self.tables[1])
+        analyzed = [r for r in filtered if self.cfg.filters.keep(r)]
+        if not analyzed:
+            raise DataValidationError("row filters removed every birth record")
+        return build_design(analyzed, quadruples, self.cfg.model)
+
+    def imputed(self, design: InferenceDesign) -> List[ImputedSet]:
+        return read_imputations_csv(design.records,
+                                    self.artifact("imputations.csv"),
+                                    self.cfg.model.imputations)
+
+    def manifest(self, stage: str, seed, inputs: Sequence[str],
+                 outputs: Sequence[str]) -> Path:
+        """Write ``<stage>_manifest.json`` hashing the named files."""
+        manifest = {
+            "stage": stage,
+            "seed": seed,
+            "preset": self.cfg.preset,
+            "config": self.cfg.snapshot(),
+            "inputs": {p.name: sha256_file(p) for p in map(self.path, inputs)},
+            "outputs": {n: sha256_file(self.out / n) for n in outputs},
+        }
+        path = self.out / f"{stage}_manifest.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def stage_simulate(cfg: RunConfig, seed: int, out_dir) -> Dict:
-    out = _out(out_dir)
-    truth = gen_scenario(cfg.scenario, seed, out)
-    outputs = [out / n for n in ("clusters.csv", "prevalence.csv",
-                                 "births.csv", "truth.json")]
-    _write_manifest("simulate", out, cfg, seed, [], outputs)
+def stage_simulate(ws: Workspace, seed: int) -> Dict:
+    truth = gen_scenario(ws.cfg.scenario, seed, ws.out)
+    ws.__dict__.pop("tables", None)     # the input files were just rewritten
+    ws.manifest("simulate", seed, [], [*INPUTS, "truth.json"])
     return truth
-
-
-def _load_inputs(cfg: RunConfig, out: Path):
-    paths = _input_paths(cfg, out)
-    for name, path in paths.items():
-        _require(path, "simulate (or provide [inputs] paths)")
-    clusters, warnings_c = read_clusters(paths["clusters"], paths["prevalence"])
-    births, warnings_b = read_births(paths["births"])
-    return clusters, births, warnings_c + warnings_b, paths
 
 
 def _availability(clusters) -> AvailabilityTable:
@@ -134,14 +183,13 @@ def _availability(clusters) -> AvailabilityTable:
     })
 
 
-def stage_ingest(cfg: RunConfig, seed: int, out_dir) -> Dict:
-    out = _out(out_dir)
-    clusters, births, warnings, paths = _load_inputs(cfg, out)
+def stage_ingest(ws: Workspace, seed: int) -> Dict:
+    clusters, births, warnings = ws.tables
     selections = select_study_years(_availability(clusters))
     filtered, counts = filter_births(births)
 
-    years_path = out / "study_years.csv"
-    with open(years_path, "w", newline="", encoding="utf-8") as fh:
+    with open(ws.out / "study_years.csv", "w", newline="",
+              encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(STUDY_YEARS_COLUMNS)
         for country in sorted(selections):
@@ -153,8 +201,7 @@ def stage_ingest(cfg: RunConfig, seed: int, out_dir) -> Dict:
                                  sel.prevalence_early_year,
                                  sel.prevalence_late_year, 1])
 
-    births_path = out / "births_filtered.csv"
-    write_births_csv(filtered, births_path)
+    write_births_csv(filtered, ws.out / "births_filtered.csv")
 
     summary = {
         "n_clusters": len(clusters),
@@ -166,13 +213,13 @@ def stage_ingest(cfg: RunConfig, seed: int, out_dir) -> Dict:
         "births_remaining": counts.remaining,
         "warnings": warnings,
     }
-    summary_path = out / "ingest_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(ws.out / "ingest_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    _write_manifest("ingest", out, cfg, seed, list(paths.values()),
-                    [years_path, births_path, summary_path])
+    ws.manifest("ingest", seed, INPUTS, ["study_years.csv",
+                                         "births_filtered.csv",
+                                         "ingest_summary.json"])
     return summary
 
 
@@ -194,11 +241,9 @@ def _read_study_years(path: Path) -> Dict[str, Optional[StudySelection]]:
     return selections
 
 
-def stage_geomatch(cfg: RunConfig, seed: int, out_dir) -> List[ClusterPair]:
-    out = _out(out_dir)
-    clusters, _, _, paths = _load_inputs(cfg, out)
-    years_path = _require(out / "study_years.csv", "ingest")
-    selections = _read_study_years(years_path)
+def stage_geomatch(ws: Workspace, seed: int) -> List[ClusterPair]:
+    clusters = ws.tables[0]
+    selections = _read_study_years(ws.artifact("study_years.csv"))
 
     pairs: List[ClusterPair] = []
     for country in sorted(selections):
@@ -214,86 +259,48 @@ def stage_geomatch(cfg: RunConfig, seed: int, out_dir) -> List[ClusterPair]:
                        and c.survey_year == sel.late_year),
                       key=lambda c: c.cluster_id)
         if early and late:
-            pairs.extend(match_country(early, late, cfg.matching.caliper()))
+            pairs.extend(match_country(early, late, ws.cfg.matching.caliper()))
 
-    pairs_path = out / "pairs.csv"
-    write_pairs_csv(pairs, pairs_path)
-    _write_manifest("geomatch", out, cfg, seed,
-                    list(paths.values()) + [years_path], [pairs_path])
+    write_pairs_csv(pairs, ws.out / "pairs.csv")
+    ws.manifest("geomatch", seed, [*INPUTS, "study_years.csv"], ["pairs.csv"])
     return pairs
 
 
-def stage_classify(cfg: RunConfig, seed: int, out_dir) -> List[ClusterPair]:
-    out = _out(out_dir)
-    clusters, _, _, paths = _load_inputs(cfg, out)
-    pairs_path = _require(out / "pairs.csv", "match-geo")
-    by_id = {c.cluster_id: c for c in clusters}
-    pairs = read_pairs_csv(pairs_path, by_id)
-    classified = classify_pairs(pairs, cfg.model)
-    write_pairs_csv(classified, pairs_path)
-    _write_manifest("classify", out, cfg, seed, list(paths.values()),
-                    [pairs_path])
+def stage_classify(ws: Workspace, seed: int) -> List[ClusterPair]:
+    classified = classify_pairs(ws.pairs(classified=False), ws.cfg.model)
+    write_pairs_csv(classified, ws.out / "pairs.csv")
+    # pairs.csv is rewritten in place, so it is listed only as an output
+    ws.manifest("classify", seed, INPUTS, ["pairs.csv"])
     return classified
 
 
-def _load_classified_pairs(cfg: RunConfig, out: Path):
-    clusters, births, _, paths = _load_inputs(cfg, out)
-    pairs_path = _require(out / "pairs.csv", "match-geo")
-    pairs = read_pairs_csv(pairs_path, {c.cluster_id: c for c in clusters})
-    if any(p.category is None for p in pairs):
-        raise DataValidationError(
-            "pairs.csv has unclassified pairs; run the classify stage first"
-        )
-    return clusters, births, pairs, paths, pairs_path
-
-
-def stage_cardmatch(cfg: RunConfig, seed: int, out_dir):
-    out = _out(out_dir)
-    clusters, _, pairs, paths, pairs_path = _load_classified_pairs(cfg, out)
-    treated = [p for p in pairs if p.category is PairCategory.HIGH_LOW
-               and p.early.covariates_defined() and p.late.covariates_defined()]
-    control = [p for p in pairs if p.category is PairCategory.HIGH_HIGH
-               and p.early.covariates_defined() and p.late.covariates_defined()]
+def stage_cardmatch(ws: Workspace, seed: int):
+    eligible = [p for p in ws.pairs() if p.early.covariates_defined()
+                and p.late.covariates_defined()]
+    treated = [p for p in eligible if p.category is PairCategory.HIGH_LOW]
+    control = [p for p in eligible if p.category is PairCategory.HIGH_HIGH]
     if not treated or not control:
         raise DataValidationError(
             "cardinality matching needs at least one treated (high-low) and "
             "one control (high-high) pair with all covariates defined"
         )
     quadruples, balance = cardinality_match(
-        treated, control, cfg.model.balance_threshold)
-    quad_path = out / "quadruples.csv"
-    balance_path = out / "balance.csv"
-    write_quadruples_csv(quadruples, quad_path)
-    write_balance_csv(balance, balance_path)
-    _write_manifest("cardmatch", out, cfg, seed,
-                    list(paths.values()) + [pairs_path],
-                    [quad_path, balance_path])
+        treated, control, ws.cfg.model.balance_threshold)
+    write_quadruples_csv(quadruples, ws.out / "quadruples.csv")
+    write_balance_csv(balance, ws.out / "balance.csv")
+    ws.manifest("cardmatch", seed, [*INPUTS, "pairs.csv"],
+                ["quadruples.csv", "balance.csv"])
     return quadruples, balance
 
 
-def _load_design(cfg: RunConfig, out: Path):
-    clusters, births, pairs, paths, pairs_path = _load_classified_pairs(cfg, out)
-    quad_path = _require(out / "quadruples.csv", "match-card")
-    pairs_by_ids = {(p.early.cluster_id, p.late.cluster_id): p for p in pairs}
-    quadruples = read_quadruples_csv(quad_path, pairs_by_ids)
-    filtered, _ = filter_births(births)
-    analyzed = [r for r in filtered if cfg.filters.keep(r)]
-    if not analyzed:
-        raise DataValidationError("row filters removed every birth record")
-    design = build_design(analyzed, quadruples, cfg.model)
-    input_files = list(paths.values()) + [pairs_path, quad_path]
-    return design, quadruples, input_files
-
-
-def stage_impute(cfg: RunConfig, seed: int, out_dir):
-    out = _out(out_dir)
-    design, _, input_files = _load_design(cfg, out)
+def stage_impute(ws: Workspace, seed: int):
+    design = ws.design()
     observed = [r for r in design.records if r.lbw is not None]
     model = fit_imputation_model(observed)
-    sets = draw_imputations(model, design.records, cfg.model.imputations, seed)
+    sets = draw_imputations(model, design.records, ws.cfg.model.imputations,
+                            seed)
 
-    model_path = out / "imputation_model.json"
-    with open(model_path, "w", encoding="utf-8") as fh:
+    with open(ws.out / "imputation_model.json", "w", encoding="utf-8") as fh:
         json.dump({
             "columns": list(model.column_names),
             "coefficients": [float(v) for v in model.coefficients],
@@ -303,32 +310,19 @@ def stage_impute(cfg: RunConfig, seed: int, out_dir):
             "n_records": design.n_records,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    imputations_path = out / "imputations.csv"
-    write_imputations_csv(design.records, sets, imputations_path)
-    _write_manifest("impute", out, cfg, seed, input_files,
-                    [model_path, imputations_path])
+    write_imputations_csv(design.records, sets, ws.out / "imputations.csv")
+    ws.manifest("impute", seed, DESIGN_INPUTS,
+                ["imputation_model.json", "imputations.csv"])
     return model, sets
 
 
-def _load_imputed(cfg: RunConfig, out: Path):
-    design, _, input_files = _load_design(cfg, out)
-    imputations_path = _require(out / "imputations.csv", "impute")
-    sets = read_imputations_csv(design.records, imputations_path,
-                                cfg.model.imputations)
-    return design, sets, input_files + [imputations_path]
+def stage_fit(ws: Workspace, seed: int):
+    design = ws.design()
+    result = run_primary_analysis(design, ws.imputed(design))
 
-
-def stage_fit(cfg: RunConfig, seed: int, out_dir):
-    out = _out(out_dir)
-    design, sets, input_files = _load_imputed(cfg, out)
-    result = run_primary_analysis(design, sets)
-
-    results_path = out / "results.csv"
-    diagnostics_path = out / "diagnostics.csv"
-    write_results_csv(result.pooled, results_path)
-    write_diagnostics_csv(result.pooled, diagnostics_path)
-    summary_path = out / "fit_summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    write_results_csv(result.pooled, ws.out / "results.csv")
+    write_diagnostics_csv(result.pooled, ws.out / "diagnostics.csv")
+    with open(ws.out / "fit_summary.json", "w", encoding="utf-8") as fh:
         json.dump({
             "m": result.m,
             "n_records": result.n_records,
@@ -344,60 +338,52 @@ def stage_fit(cfg: RunConfig, seed: int, out_dir):
                              result.pooled["low_prevalence"].ci_high],
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest("fit", out, cfg, seed, input_files,
-                    [results_path, diagnostics_path, summary_path])
+    ws.manifest("fit", seed, [*DESIGN_INPUTS, "imputations.csv"],
+                ["results.csv", "diagnostics.csv", "fit_summary.json"])
     return result
 
 
-def stage_sensitivity(cfg: RunConfig, seed: int, out_dir):
-    out = _out(out_dir)
-    design, sets, input_files = _load_imputed(cfg, out)
-    rows = sensitivity_grid(design, sets, seed, grid=cfg.sensitivity.grid)
-    sens_path = out / "sensitivity.csv"
-    write_sensitivity_csv(rows, sens_path)
-    _write_manifest("sensitivity", out, cfg, seed, input_files, [sens_path])
+def stage_sensitivity(ws: Workspace, seed: int):
+    design = ws.design()
+    rows = sensitivity_grid(design, ws.imputed(design), seed,
+                            grid=ws.cfg.sensitivity.grid)
+    write_sensitivity_csv(rows, ws.out / "sensitivity.csv")
+    ws.manifest("sensitivity", seed, [*DESIGN_INPUTS, "imputations.csv"],
+                ["sensitivity.csv"])
     return rows
 
 
-def stage_report(cfg: RunConfig, seed: int, out_dir):
+def stage_report(ws: Workspace, seed: int):
     """Regenerate the presentation tables from the stage artifacts."""
-    out = _out(out_dir)
-    clusters, _, pairs, paths, pairs_path = _load_classified_pairs(cfg, out)
-    quad_path = _require(out / "quadruples.csv", "match-card")
-    pairs_by_ids = {(p.early.cluster_id, p.late.cluster_id): p for p in pairs}
-    quadruples = read_quadruples_csv(quad_path, pairs_by_ids)
-
+    quadruples = ws.quadruples()
     matched_pairs = [q.treated for q in quadruples] + [q.control for q in quadruples]
-    diag_path = out / "match_diagnostics.csv"
-    write_match_diagnostics_csv(match_diagnostics(matched_pairs), diag_path)
+    write_match_diagnostics_csv(match_diagnostics(matched_pairs),
+                                ws.out / "match_diagnostics.csv")
 
-    outputs = [diag_path]
-    inputs = list(paths.values()) + [pairs_path, quad_path]
+    inputs, outputs = list(DESIGN_INPUTS), ["match_diagnostics.csv"]
     for source, target in (("balance.csv", "report_balance.csv"),
                            ("results.csv", "report_results.csv"),
                            ("sensitivity.csv", "report_sensitivity.csv")):
-        src = out / source
+        src = ws.out / source
         if src.exists():
-            dst = out / target
-            dst.write_bytes(src.read_bytes())
-            inputs.append(src)
-            outputs.append(dst)
-    _write_manifest("report", out, cfg, seed, inputs, outputs)
-    return outputs
+            (ws.out / target).write_bytes(src.read_bytes())
+            inputs.append(source)
+            outputs.append(target)
+    ws.manifest("report", seed, inputs, outputs)
+    return [ws.out / name for name in outputs]
 
 
-def run_pipeline(cfg: RunConfig, seed: int, out_dir) -> Dict:
+def run_pipeline(ws: Workspace, seed: int) -> Dict:
     """All analysis stages in order (inputs must already exist)."""
-    out = _out(out_dir)
-    stage_ingest(cfg, seed, out)
-    stage_geomatch(cfg, seed, out)
-    stage_classify(cfg, seed, out)
-    stage_cardmatch(cfg, seed, out)
-    stage_impute(cfg, seed, out)
-    result = stage_fit(cfg, seed, out)
-    if cfg.sensitivity.enabled:
-        stage_sensitivity(cfg, seed, out)
-    stage_report(cfg, seed, out)
+    stage_ingest(ws, seed)
+    stage_geomatch(ws, seed)
+    stage_classify(ws, seed)
+    stage_cardmatch(ws, seed)
+    stage_impute(ws, seed)
+    result = stage_fit(ws, seed)
+    if ws.cfg.sensitivity.enabled:
+        stage_sensitivity(ws, seed)
+    stage_report(ws, seed)
     return {
         "pooled_k1": result.pooled["low_prevalence"].estimate,
         "ci": [result.pooled["low_prevalence"].ci_low,

@@ -34,7 +34,7 @@ from matchdid.model import (
     Quadruple,
     Role,
 )
-from matchdid.pipeline import run_pipeline, stage_simulate
+from matchdid.pipeline import Workspace, run_pipeline, stage_simulate
 from matchdid.sensan import sensitivity_fit, sensitivity_grid
 from matchdid.synth import ScenarioConfig, generate
 from matchdid.config import PRESETS, RunConfig
@@ -361,8 +361,9 @@ def test_10_stage_determinism(tmp_path):
     runs = {}
     for label in ("a", "c"):
         out = tmp_path / label
-        stage_simulate(cfg, 77, out)
-        run_pipeline(cfg, 77, out)
+        ws = Workspace(cfg, out)
+        stage_simulate(ws, 77)
+        run_pipeline(ws, 77)
         runs[label] = {name: (out / name).read_bytes() for name in artifacts}
     same = all(runs["a"][n] == runs["c"][n] for n in artifacts)
     _accept("10 determinism", same, f"rerun identical: {same}")

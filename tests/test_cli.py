@@ -124,13 +124,18 @@ class TestExitCodes:
                        "--out-dir", out) == 2
         assert "classify" in capsys.readouterr().err
 
+    def test_missing_inputs_name_the_file(self, tmp_path, capsys):
+        assert run_cli("ingest", "--out-dir", tmp_path / "empty") == 2
+        assert ("missing input clusters.csv; run the simulate stage first "
+                "or set [inputs] paths") in capsys.readouterr().err
+
     def test_removed_threads_option_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--threads", 2,
                        "--out-dir", tmp_path) == 1
         assert "--threads" in capsys.readouterr().err
 
     def test_convergence_maps_to_exit_3(self, monkeypatch, tmp_path):
-        def boom(cfg, seed, out_dir):
+        def boom(ws, seed):
             raise ConvergenceError("did not converge")
         monkeypatch.setattr(cli.pipeline, "stage_simulate", boom)
         assert run_cli("simulate", "--out-dir", tmp_path) == 3
@@ -206,6 +211,20 @@ class TestPipeline:
         for name, (stage, digest) in final.items():
             actual = hashlib.sha256((finished / name).read_bytes()).hexdigest()
             assert actual == digest, (stage, name)
+
+    def test_stage_by_stage_matches_pipeline(self, workdir, finished,
+                                             tmp_path_factory):
+        _, cfg_path = workdir
+        out = tmp_path_factory.mktemp("stepwise")
+        for cmd in ("simulate", "ingest", "match-geo", "classify",
+                    "match-card", "impute", "fit", "sensitivity", "report"):
+            assert run_cli(cmd, "--config", cfg_path, "--seed", 5,
+                           "--out-dir", out) == 0, cmd
+        names = sorted(p.name for p in finished.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == \
+                (finished / name).read_bytes(), name
 
     def test_report_copies_match_sources(self, finished):
         assert (finished / "report_results.csv").read_bytes() == \
@@ -326,3 +345,36 @@ class TestCorruptedImputations:
         assert run_cli("fit", "--config", cfg_path, "--seed", 5,
                        "--out-dir", out) == 2
         assert message in capsys.readouterr().err
+
+
+def test_pipeline_parses_inputs_once(workdir, tmp_path, monkeypatch):
+    _, cfg_path = workdir
+    out = tmp_path / "once"
+    assert run_cli("simulate", "--config", cfg_path, "--seed", 5,
+                   "--out-dir", out) == 0
+    calls = {"read_clusters": 0, "read_births": 0}
+
+    def counted(name):
+        original = getattr(cli.pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli.pipeline, name, counted(name))
+    assert run_cli("pipeline", "--config", cfg_path, "--seed", 5,
+                   "--out-dir", out) == 0
+    assert calls == {"read_clusters": 1, "read_births": 1}
+
+    # a workspace whose inputs simulate rewrote parses them again
+    ws = cli.pipeline.Workspace(load_config(str(cfg_path), "primary"),
+                                tmp_path / "resim")
+    cli.pipeline.stage_simulate(ws, 1)
+    first = ws.tables
+    cli.pipeline.stage_simulate(ws, 2)
+    second = ws.tables
+    assert calls == {"read_clusters": 3, "read_births": 3}
+    assert second[1] != first[1]
+    assert second == cli.pipeline.Workspace(ws.cfg, ws.out).tables
