@@ -1,11 +1,16 @@
-"""Small shared helpers: deterministic RNG substreams, CSV formatting,
-file hashing."""
+"""Small shared helpers: deterministic RNG substreams, the artifact file
+formats (CSV and JSON), file hashing."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
+
+from .errors import DataValidationError
 
 
 def substream(*key) -> np.random.Generator:
@@ -52,6 +57,49 @@ def fmt(value) -> str:
             return str(int(v))
         return repr(v)
     return str(value)
+
+
+# ---------------------------------------------------------------------------
+# artifact files: UTF-8, the csv module's default dialect (CRLF line ends)
+# with a header row, and JSON with a 2-space indent, sorted keys and a
+# trailing newline. imputations.csv (impute.py) keeps its own block codec.
+
+
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header row ``columns``, then ``rows`` with their cells as
+    given (callers format floats with ``fmt``)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_csv(path, columns: Sequence[str]) -> Iterator[Tuple[int, Dict[str, str]]]:
+    """Yield ``(line, row)`` for each data row of a CSV file whose header
+    must be ``columns``; ``line`` is the physical line the row ends on.
+
+    An empty file, another header, undecodable bytes and malformed CSV
+    raise ``DataValidationError`` naming the file.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            if reader.fieldnames != list(columns):
+                found = ("an empty file" if reader.fieldnames is None
+                         else f"header {reader.fieldnames}")
+                raise DataValidationError(
+                    f"{path}: expected header {list(columns)}, found {found}")
+            for row in reader:
+                yield reader.line_num, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataValidationError(
+                f"{path}: not readable as UTF-8 CSV ({exc})") from None
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def sha256_file(path) -> str:

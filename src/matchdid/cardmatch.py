@@ -17,7 +17,6 @@ returned.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import fmt
+from ._util import fmt, read_csv, write_csv
 from .errors import ConvergenceError, DataValidationError
 from .geomatch import assignment_indices
 from .model import COVARIATE_NAMES, ClusterPair, Quadruple
@@ -245,44 +244,32 @@ def cardinality_match(
 
 
 def write_quadruples_csv(quadruples: Sequence[Quadruple], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(QUADRUPLES_COLUMNS)
-        for q in quadruples:
-            writer.writerow([
-                q.treated.early.cluster_id, q.treated.late.cluster_id,
-                q.control.early.cluster_id, q.control.late.cluster_id,
-            ])
+    write_csv(path, QUADRUPLES_COLUMNS, ([
+        q.treated.early.cluster_id, q.treated.late.cluster_id,
+        q.control.early.cluster_id, q.control.late.cluster_id,
+    ] for q in quadruples))
 
 
 def read_quadruples_csv(path, pairs_by_ids) -> List[Quadruple]:
     quadruples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if list(reader.fieldnames or []) != QUADRUPLES_COLUMNS:
-            raise DataValidationError(f"{path}: unexpected quadruples.csv header")
-        for row in reader:
-            t_key = (row["treated_early_id"], row["treated_late_id"])
-            c_key = (row["control_early_id"], row["control_late_id"])
-            try:
-                quadruples.append(Quadruple(
-                    treated=pairs_by_ids[t_key], control=pairs_by_ids[c_key],
-                ))
-            except KeyError as exc:
-                raise DataValidationError(
-                    f"{path}: quadruple references unknown pair {exc}"
-                ) from None
+    for _, row in read_csv(path, QUADRUPLES_COLUMNS):
+        t_key = (row["treated_early_id"], row["treated_late_id"])
+        c_key = (row["control_early_id"], row["control_late_id"])
+        try:
+            quadruples.append(Quadruple(
+                treated=pairs_by_ids[t_key], control=pairs_by_ids[c_key],
+            ))
+        except KeyError as exc:
+            raise DataValidationError(
+                f"{path}: quadruple references unknown pair {exc}"
+            ) from None
     return quadruples
 
 
 def write_balance_csv(report: BalanceReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BALANCE_COLUMNS)
-        for r in report.rows:
-            writer.writerow([
-                r.covariate, r.period,
-                fmt(r.treated_mean_before), fmt(r.control_mean_before),
-                fmt(r.treated_mean_after), fmt(r.control_mean_after),
-                fmt(r.stddiff_before), fmt(r.stddiff_after),
-            ])
+    write_csv(path, BALANCE_COLUMNS, ([
+        r.covariate, r.period,
+        fmt(r.treated_mean_before), fmt(r.control_mean_before),
+        fmt(r.treated_mean_after), fmt(r.control_mean_after),
+        fmt(r.stddiff_before), fmt(r.stddiff_after),
+    ] for r in report.rows))

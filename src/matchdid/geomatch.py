@@ -8,7 +8,6 @@ disjoint pairs is as small as possible.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -16,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._util import fmt
+from ._util import fmt, read_csv, write_csv
 from .errors import DataValidationError
 from .model import ClusterPair, ClusterRecord, GeoPoint, PairCategory
 
@@ -335,36 +334,28 @@ def write_pairs_csv(pairs: Sequence[ClusterPair], path) -> None:
 
     The category column stays empty until classification fills it.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PAIRS_COLUMNS)
-        for p in pairs:
-            writer.writerow([
-                p.country, p.early.cluster_id, p.late.cluster_id,
-                fmt(p.rank_distance), fmt(p.geo_distance_km),
-                "" if p.category is None else p.category.value,
-            ])
+    write_csv(path, PAIRS_COLUMNS, ([
+        p.country, p.early.cluster_id, p.late.cluster_id,
+        fmt(p.rank_distance), fmt(p.geo_distance_km),
+        "" if p.category is None else p.category.value,
+    ] for p in pairs))
 
 
 def read_pairs_csv(path, clusters_by_id) -> List[ClusterPair]:
     pairs: List[ClusterPair] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if list(reader.fieldnames or []) != PAIRS_COLUMNS:
-            raise DataValidationError(f"{path}: unexpected pairs.csv header")
-        for row in reader:
-            try:
-                early = clusters_by_id[row["early_id"]]
-                late = clusters_by_id[row["late_id"]]
-            except KeyError as exc:
-                raise DataValidationError(
-                    f"{path}: pair references unknown cluster {exc}"
-                ) from None
-            category, rank_distance = row["category"], row["rank_distance"]
-            pairs.append(ClusterPair(
-                early=early, late=late,
-                category=None if category == "" else PairCategory(category),
-                geo_distance_km=float(row["haversine_km"]),
-                rank_distance=None if rank_distance == "" else float(rank_distance),
-            ))
+    for _, row in read_csv(path, PAIRS_COLUMNS):
+        try:
+            early = clusters_by_id[row["early_id"]]
+            late = clusters_by_id[row["late_id"]]
+        except KeyError as exc:
+            raise DataValidationError(
+                f"{path}: pair references unknown cluster {exc}"
+            ) from None
+        category, rank_distance = row["category"], row["rank_distance"]
+        pairs.append(ClusterPair(
+            early=early, late=late,
+            category=None if category == "" else PairCategory(category),
+            geo_distance_km=float(row["haversine_km"]),
+            rank_distance=None if rank_distance == "" else float(rank_distance),
+        ))
     return pairs

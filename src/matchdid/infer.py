@@ -16,7 +16,6 @@ JMVA 2004).
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import stdtr, stdtrit
 
-from ._util import fmt
+from ._util import fmt, write_csv
 from .errors import ConvergenceError, DataValidationError
 from .model import BirthRecord, ModelSpec, PrevalenceLevel, Quadruple
 from .classify import prevalence_level
@@ -467,22 +466,28 @@ def rubin_combine(
 ) -> Dict[str, PooledEstimate]:
     """Pool per-replicate estimates and squared standard errors.
 
-    ``estimates`` and ``variances`` are (M,) or (M, p) arrays; M >= 2.
-    The total variance is (1 + 1/M) B + Vbar and the t degrees of freedom
-    are (M - 1) [1 + Vbar / ((1 + 1/M) B)]^2, degenerating to normal
-    quantiles when B = 0.
+    ``estimates`` and ``variances`` are (M,) arrays for one regressor or
+    (M, p) arrays for p, never transposed; M >= 2, and ``names`` (default
+    g0, g1, ...) must hold p names. The total variance is (1 + 1/M) B +
+    Vbar and the t degrees of freedom are (M - 1) [1 + Vbar / ((1 + 1/M)
+    B)]^2, degenerating to normal quantiles when B = 0.
     """
-    estimates = np.atleast_2d(np.asarray(estimates, dtype=float))
-    variances = np.atleast_2d(np.asarray(variances, dtype=float))
-    if estimates.shape[0] == 1 and estimates.shape[1] > 1 and names is None:
-        estimates = estimates.T
-        variances = variances.T
-    if estimates.shape[0] < 2:
-        raise DataValidationError("Rubin pooling needs M >= 2 replicates")
+    estimates = np.asarray(estimates, dtype=float)
+    variances = np.asarray(variances, dtype=float)
     if estimates.shape != variances.shape:
         raise DataValidationError("estimates and variances misaligned")
+    if estimates.ndim == 1:
+        estimates, variances = estimates[:, None], variances[:, None]
+    if estimates.ndim != 2:
+        raise DataValidationError(
+            f"estimates must be (M,) or (M, p), not {estimates.shape}")
+    if estimates.shape[0] < 2:
+        raise DataValidationError("Rubin pooling needs M >= 2 replicates")
     if names is None:
         names = [f"g{j}" for j in range(estimates.shape[1])]
+    if len(names) != estimates.shape[1]:
+        raise DataValidationError(
+            f"{len(names)} names for {estimates.shape[1]} pooled regressors")
     return {
         name: _pool_one(estimates[:, j], variances[:, j])
         for j, name in enumerate(names)
@@ -571,18 +576,12 @@ def run_primary_analysis(design: InferenceDesign, imputed_sets) -> PrimaryResult
 
 
 def write_results_csv(pooled: Mapping[str, PooledEstimate], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_COLUMNS)
-        for name, p in pooled.items():
-            writer.writerow([name, fmt(p.estimate), fmt(p.ci_low),
-                             fmt(p.ci_high), fmt(p.p_value)])
+    write_csv(path, RESULTS_COLUMNS, (
+        [name, fmt(p.estimate), fmt(p.ci_low), fmt(p.ci_high), fmt(p.p_value)]
+        for name, p in pooled.items()))
 
 
 def write_diagnostics_csv(pooled: Mapping[str, PooledEstimate], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_COLUMNS)
-        for name, p in pooled.items():
-            writer.writerow([name, fmt(p.between_var), fmt(p.within_var),
-                             fmt(p.var_ratio)])
+    write_csv(path, DIAGNOSTICS_COLUMNS, (
+        [name, fmt(p.between_var), fmt(p.within_var), fmt(p.var_ratio)]
+        for name, p in pooled.items()))

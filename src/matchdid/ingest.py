@@ -14,15 +14,19 @@ required; empty string means missing):
                   wealth_index, urban, mother_education, child_is_boy,
                   married, antenatal, reported_size, multiple_birth,
                   child_age_years, lbw
+
+A file that is empty, has another header, is not UTF-8 text or is not
+valid CSV is refused, and so is a cluster_id given twice in clusters.csv
+(``DataValidationError``, exit code 2). A row that fails to parse is
+skipped with a warning naming its physical line.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._util import fmt
+from ._util import fmt, read_csv, write_csv
 from .errors import DataValidationError
 from .model import (
     COVARIATE_NAMES,
@@ -158,20 +162,6 @@ def filter_births(
 # CSV reading
 
 
-def _read_table(path, expected_columns) -> Iterable[Tuple[int, Dict[str, str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataValidationError(f"{path}: empty file, header row required")
-        if list(reader.fieldnames) != expected_columns:
-            raise DataValidationError(
-                f"{path}: header {reader.fieldnames} does not match "
-                f"expected {expected_columns}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            yield lineno, row
-
-
 def _opt_float(text: str) -> Optional[float]:
     return None if text == "" else float(text)
 
@@ -180,7 +170,7 @@ def read_prevalence(path) -> Tuple[Dict[str, Dict[int, float]], List[str]]:
     """Long-format prevalence table -> {cluster_id: {year: pfpr}}."""
     table: Dict[str, Dict[int, float]] = {}
     warnings: List[str] = []
-    for lineno, row in _read_table(path, PREVALENCE_COLUMNS):
+    for lineno, row in read_csv(path, PREVALENCE_COLUMNS):
         try:
             year = int(row["year"])
             pfpr = float(row["pfpr"])
@@ -199,11 +189,19 @@ def read_clusters(
 
     Row-level failures are reported and skipped; parsing continues. A
     cluster whose trajectory lacks its own prevalence year is kept but
-    flagged, since downstream classification will need that year.
+    flagged, since downstream classification will need that year. A
+    cluster_id given twice raises ``DataValidationError``: pairs and
+    quadruples name clusters by id.
     """
     prevalence, warnings = read_prevalence(prevalence_path)
     clusters: List[ClusterRecord] = []
-    for lineno, row in _read_table(clusters_path, CLUSTER_COLUMNS):
+    first_line: Dict[str, int] = {}
+    for lineno, row in read_csv(clusters_path, CLUSTER_COLUMNS):
+        first = first_line.setdefault(row["cluster_id"], lineno)
+        if first != lineno:
+            raise DataValidationError(
+                f"{clusters_path}:{lineno}: cluster_id {row['cluster_id']!r} "
+                f"is also on line {first}")
         try:
             covariates = {name: _opt_float(row[name]) for name in COVARIATE_NAMES}
             record = ClusterRecord(
@@ -230,7 +228,7 @@ def read_clusters(
 def read_births(path) -> Tuple[List[BirthRecord], List[str]]:
     births: List[BirthRecord] = []
     warnings: List[str] = []
-    for lineno, row in _read_table(path, BIRTH_COLUMNS):
+    for lineno, row in read_csv(path, BIRTH_COLUMNS):
         try:
             size = row["reported_size"]
             lbw = row["lbw"]
@@ -260,39 +258,25 @@ def read_births(path) -> Tuple[List[BirthRecord], List[str]]:
 
 
 def write_clusters_csv(clusters: Sequence[ClusterRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTER_COLUMNS)
-        for c in clusters:
-            writer.writerow([
-                c.cluster_id, c.country, c.survey_year, c.role.value,
-                fmt(c.location.latitude_deg), fmt(c.location.longitude_deg),
-                fmt(c.covariates["urban"]), fmt(c.covariates["electricity"]),
-                fmt(c.covariates["floor"]), fmt(c.covariates["toilet"]),
-                fmt(c.covariates["mother_education"]),
-                fmt(c.covariates["contraception"]),
-            ])
+    write_csv(path, CLUSTER_COLUMNS, ([
+        c.cluster_id, c.country, c.survey_year, c.role.value,
+        fmt(c.location.latitude_deg), fmt(c.location.longitude_deg),
+        *(fmt(c.covariates[name]) for name in CLUSTER_COLUMNS[6:]),
+    ] for c in clusters))
 
 
 def write_prevalence_csv(clusters: Sequence[ClusterRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREVALENCE_COLUMNS)
-        for c in clusters:
-            for year in sorted(c.pfpr_by_year):
-                writer.writerow([c.cluster_id, year, fmt(c.pfpr_by_year[year])])
+    write_csv(path, PREVALENCE_COLUMNS, (
+        [c.cluster_id, year, fmt(c.pfpr_by_year[year])]
+        for c in clusters for year in sorted(c.pfpr_by_year)))
 
 
 def write_births_csv(births: Sequence[BirthRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BIRTH_COLUMNS)
-        for b in births:
-            writer.writerow([
-                b.child_id, b.cluster_id, b.mother_age_years, b.birth_order_code,
-                b.wealth_index, b.urban, b.mother_education, b.child_is_boy,
-                b.married, b.antenatal,
-                "" if b.reported_size is None else b.reported_size.value,
-                b.multiple_birth, b.child_age_years,
-                "" if b.lbw is None else b.lbw,
-            ])
+    write_csv(path, BIRTH_COLUMNS, ([
+        b.child_id, b.cluster_id, b.mother_age_years, b.birth_order_code,
+        b.wealth_index, b.urban, b.mother_education, b.child_is_boy,
+        b.married, b.antenatal,
+        "" if b.reported_size is None else b.reported_size.value,
+        b.multiple_birth, b.child_age_years,
+        "" if b.lbw is None else b.lbw,
+    ] for b in births))

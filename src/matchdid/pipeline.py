@@ -14,14 +14,12 @@ because later stages rewrite them.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import defaultdict
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ._util import sha256_file
+from ._util import read_csv, sha256_file, write_csv, write_json
 from .cardmatch import (
     cardinality_match,
     read_quadruples_csv,
@@ -151,9 +149,7 @@ class Workspace:
             "outputs": {n: sha256_file(self.out / n) for n in outputs},
         }
         path = self.out / f"{stage}_manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, manifest)
         return path
 
 
@@ -188,18 +184,11 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
     selections = select_study_years(_availability(clusters))
     filtered, counts = filter_births(births)
 
-    with open(ws.out / "study_years.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STUDY_YEARS_COLUMNS)
-        for country in sorted(selections):
-            sel = selections[country]
-            if sel is None:
-                writer.writerow([country, "", "", "", "", 0])
-            else:
-                writer.writerow([country, sel.early_year, sel.late_year,
-                                 sel.prevalence_early_year,
-                                 sel.prevalence_late_year, 1])
+    write_csv(ws.out / "study_years.csv", STUDY_YEARS_COLUMNS, (
+        [country, "", "", "", "", 0] if sel is None else
+        [country, sel.early_year, sel.late_year, sel.prevalence_early_year,
+         sel.prevalence_late_year, 1]
+        for country, sel in sorted(selections.items())))
 
     write_births_csv(filtered, ws.out / "births_filtered.csv")
 
@@ -213,9 +202,7 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
         "births_remaining": counts.remaining,
         "warnings": warnings,
     }
-    with open(ws.out / "ingest_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ws.out / "ingest_summary.json", summary)
 
     ws.manifest("ingest", seed, INPUTS, ["study_years.csv",
                                          "births_filtered.csv",
@@ -225,19 +212,15 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
 
 def _read_study_years(path: Path) -> Dict[str, Optional[StudySelection]]:
     selections: Dict[str, Optional[StudySelection]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if list(reader.fieldnames or []) != STUDY_YEARS_COLUMNS:
-            raise DataValidationError(f"{path}: unexpected study_years.csv header")
-        for row in reader:
-            if row["included"] == "1":
-                selections[row["country"]] = StudySelection(
-                    int(row["early_year"]), int(row["late_year"]),
-                    int(row["prevalence_early_year"]),
-                    int(row["prevalence_late_year"]),
-                )
-            else:
-                selections[row["country"]] = None
+    for _, row in read_csv(path, STUDY_YEARS_COLUMNS):
+        if row["included"] == "1":
+            selections[row["country"]] = StudySelection(
+                int(row["early_year"]), int(row["late_year"]),
+                int(row["prevalence_early_year"]),
+                int(row["prevalence_late_year"]),
+            )
+        else:
+            selections[row["country"]] = None
     return selections
 
 
@@ -300,16 +283,14 @@ def stage_impute(ws: Workspace, seed: int):
     sets = draw_imputations(model, design.records, ws.cfg.model.imputations,
                             seed)
 
-    with open(ws.out / "imputation_model.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "columns": list(model.column_names),
-            "coefficients": [float(v) for v in model.coefficients],
-            "prior_scales": [float(v) for v in model.prior_scales],
-            "covariance": [[float(v) for v in row] for row in model.covariance],
-            "n_observed": len(observed),
-            "n_records": design.n_records,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ws.out / "imputation_model.json", {
+        "columns": list(model.column_names),
+        "coefficients": [float(v) for v in model.coefficients],
+        "prior_scales": [float(v) for v in model.prior_scales],
+        "covariance": [[float(v) for v in row] for row in model.covariance],
+        "n_observed": len(observed),
+        "n_records": design.n_records,
+    })
     write_imputations_csv(design.records, sets, ws.out / "imputations.csv")
     ws.manifest("impute", seed, DESIGN_INPUTS,
                 ["imputation_model.json", "imputations.csv"])
@@ -322,22 +303,20 @@ def stage_fit(ws: Workspace, seed: int):
 
     write_results_csv(result.pooled, ws.out / "results.csv")
     write_diagnostics_csv(result.pooled, ws.out / "diagnostics.csv")
-    with open(ws.out / "fit_summary.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "m": result.m,
-            "n_records": result.n_records,
-            "n_clusters": result.n_clusters,
-            "naive_k1": result.naive_k1,
-            "naive_k2": result.naive_k2,
-            "naive_k3": result.naive_k3,
-            "covariate_drift": result.covariate_drift,
-            "sigma0_sq_mean": result.sigma0_sq_mean,
-            "sigma1_sq_mean": result.sigma1_sq_mean,
-            "pooled_k1": result.pooled["low_prevalence"].estimate,
-            "pooled_k1_ci": [result.pooled["low_prevalence"].ci_low,
-                             result.pooled["low_prevalence"].ci_high],
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ws.out / "fit_summary.json", {
+        "m": result.m,
+        "n_records": result.n_records,
+        "n_clusters": result.n_clusters,
+        "naive_k1": result.naive_k1,
+        "naive_k2": result.naive_k2,
+        "naive_k3": result.naive_k3,
+        "covariate_drift": result.covariate_drift,
+        "sigma0_sq_mean": result.sigma0_sq_mean,
+        "sigma1_sq_mean": result.sigma1_sq_mean,
+        "pooled_k1": result.pooled["low_prevalence"].estimate,
+        "pooled_k1_ci": [result.pooled["low_prevalence"].ci_low,
+                         result.pooled["low_prevalence"].ci_high],
+    })
     ws.manifest("fit", seed, [*DESIGN_INPUTS, "imputations.csv"],
                 ["results.csv", "diagnostics.csv", "fit_summary.json"])
     return result

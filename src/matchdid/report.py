@@ -4,14 +4,13 @@ and late prevalence years, reported per pair category."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
-from ._util import fmt
+from ._util import fmt, write_csv
 from .model import ClusterPair, PairCategory
 
 MATCH_DIAGNOSTICS_COLUMNS = [
@@ -95,10 +94,6 @@ def match_diagnostics(
 
 
 def write_match_diagnostics_csv(rows: Sequence[MatchDiagnostics], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATCH_DIAGNOSTICS_COLUMNS)
-        for r in rows:
-            writer.writerow([getattr(r, c) if c == "category"
-                             else fmt(getattr(r, c))
-                             for c in MATCH_DIAGNOSTICS_COLUMNS])
+    write_csv(path, MATCH_DIAGNOSTICS_COLUMNS, (
+        [r.category, *(fmt(getattr(r, c)) for c in MATCH_DIAGNOSTICS_COLUMNS[1:])]
+        for r in rows))

@@ -11,14 +11,13 @@ into the four sign cases of (p1, p2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._util import fmt, substream
+from ._util import fmt, substream, write_csv
 from .errors import DataValidationError
 from .infer import InferenceDesign, PooledEstimate, fit_and_pool
 from .model import validate_u_probabilities
@@ -160,14 +159,9 @@ def sensitivity_grid(
 
 
 def write_sensitivity_csv(rows: Sequence[SensitivityRow], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SENSITIVITY_COLUMNS)
-        for r in rows:
-            if r.skipped:
-                writer.writerow([r.case, fmt(r.p1), fmt(r.p2),
-                                 "", "", "", "", f"skipped: {r.note}"])
-            else:
-                writer.writerow([r.case, fmt(r.p1), fmt(r.p2),
-                                 fmt(r.estimate), fmt(r.ci_low),
-                                 fmt(r.ci_high), fmt(r.p_value), ""])
+    write_csv(path, SENSITIVITY_COLUMNS, (
+        [r.case, fmt(r.p1), fmt(r.p2), "", "", "", "", f"skipped: {r.note}"]
+        if r.skipped else
+        [r.case, fmt(r.p1), fmt(r.p2), fmt(r.estimate), fmt(r.ci_low),
+         fmt(r.ci_high), fmt(r.p_value), ""]
+        for r in rows))

@@ -13,7 +13,6 @@ the same (config, seed) always produces byte-identical files.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -21,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ._util import substream
+from ._util import substream, write_json
 from .errors import DataValidationError
 from .model import (
     BirthRecord,
@@ -371,7 +370,5 @@ def gen_scenario(cfg: ScenarioConfig, seed: int, out_dir) -> Dict:
     write_clusters_csv(data.clusters, out / "clusters.csv")
     write_prevalence_csv(data.clusters, out / "prevalence.csv")
     write_births_csv(data.births, out / "births.csv")
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(data.truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "truth.json", data.truth)
     return data.truth

@@ -347,6 +347,57 @@ class TestCorruptedImputations:
         assert message in capsys.readouterr().err
 
 
+class TestRefusedArtifacts:
+    """A file a stage cannot read as its artifact format exits 2 and names
+    the file."""
+
+    def _run_on_copy(self, workdir, finished, tmp_path, command, name, edit):
+        import shutil
+        _, cfg_path = workdir
+        out = tmp_path / "run"
+        shutil.copytree(finished, out)
+        (out / name).write_bytes(edit((out / name).read_bytes()))
+        return run_cli(command, "--config", cfg_path, "--seed", 5,
+                       "--out-dir", out)
+
+    @pytest.mark.parametrize("name, command", [
+        ("births.csv", "ingest"),
+        ("pairs.csv", "classify"),
+    ])
+    def test_undecodable_byte(self, workdir, finished, tmp_path, capsys,
+                              name, command):
+        code = self._run_on_copy(
+            workdir, finished, tmp_path, command, name,
+            lambda data: data.replace(b"\r\n", b"\r\n\xff", 1))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert name in err and "not readable as UTF-8 CSV" in err
+
+    def test_oversized_field(self, workdir, finished, tmp_path, capsys):
+        # the csv module refuses a field over 131,072 characters
+        code = self._run_on_copy(
+            workdir, finished, tmp_path, "ingest", "births.csv",
+            lambda data: data.replace(b"\r\n", b"\r\n" + b"x" * 200_000, 1))
+        assert code == 2
+        assert ("births.csv: not readable as UTF-8 CSV (field larger than "
+                "field limit") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, command", [
+        ("study_years.csv", "match-geo"),
+        ("pairs.csv", "classify"),
+        ("quadruples.csv", "impute"),
+    ])
+    def test_wrong_header(self, workdir, finished, tmp_path, capsys,
+                          name, command):
+        code = self._run_on_copy(
+            workdir, finished, tmp_path, command, name,
+            lambda data: b"a,b" + data[data.index(b"\r\n"):])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{name}: expected header [" in err
+        assert "found header ['a', 'b']" in err
+
+
 def test_pipeline_parses_inputs_once(workdir, tmp_path, monkeypatch):
     _, cfg_path = workdir
     out = tmp_path / "once"

@@ -85,6 +85,24 @@ class TestRubin:
     def test_m1_rejected(self):
         with pytest.raises(DataValidationError):
             rubin_combine(np.array([[1.0]]), np.array([[1.0]]), ["g"])
+        # one replicate of three regressors, never read as three replicates
+        with pytest.raises(DataValidationError, match="M >= 2"):
+            rubin_combine([[0.1, 0.2, 0.3]], [[0.01] * 3])
+
+    def test_1d_input_is_one_regressor(self):
+        est = np.array([0.1, 0.4, 0.2, 0.5, 0.3])
+        var = np.full(5, 0.01)
+        pooled = rubin_combine(est, var, ["k1"])
+        assert list(pooled) == ["k1"]
+        expected = rubin_combine(est[:, None], var[:, None], ["k1"])["k1"]
+        assert pooled["k1"] == expected
+        assert pooled["k1"].estimate == pytest.approx(0.3, rel=1e-12)
+        assert list(rubin_combine(est, var)) == ["g0"]
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_names_must_match_regressors(self, names):
+        with pytest.raises(DataValidationError, match="names"):
+            rubin_combine(np.zeros((4, 2)), np.ones((4, 2)), names)
 
 
 def _centered_cluster_data(rng, n_clusters=40, per=8, p_extra=2):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,31 @@ class TestCsvRoundTrip:
         back, warnings = read_births(tmp_path / "births.csv")
         assert len(back) == len(data.births) - 1
         assert len(warnings) == 1 and ":4:" in warnings[0]
+
+    def test_warning_names_physical_line(self, tmp_path):
+        # the first row's quoted child_id spans lines 2-3, so the bad row
+        # is on line 4
+        births = [make_birth(child_id="a\nb"), make_birth(child_id="c")]
+        write_births_csv(births, tmp_path / "b.csv")
+        text = (tmp_path / "b.csv").read_bytes()
+        assert text.count(b"\n") == 4
+        (tmp_path / "b.csv").write_bytes(text.replace(b"c,c1,25", b"c,c1,old"))
+        back, warnings = read_births(tmp_path / "b.csv")
+        assert back == births[:1]
+        assert len(warnings) == 1 and "b.csv:4:" in warnings[0]
+
+    def test_duplicate_cluster_id_rejected(self, tmp_path, data):
+        clusters = [data.clusters[0], data.clusters[1],
+                    replace(data.clusters[2],
+                            cluster_id=data.clusters[0].cluster_id)]
+        write_clusters_csv(clusters, tmp_path / "clusters.csv")
+        write_prevalence_csv(clusters, tmp_path / "prevalence.csv")
+        with pytest.raises(DataValidationError) as err:
+            read_clusters(tmp_path / "clusters.csv",
+                          tmp_path / "prevalence.csv")
+        message = str(err.value)
+        assert f"clusters.csv:4: cluster_id {clusters[0].cluster_id!r}" in message
+        assert "also on line 2" in message
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "births.csv").write_text("a,b,c\n1,2,3\n")
