@@ -8,6 +8,7 @@ disjoint pairs is as small as possible.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -20,6 +21,9 @@ from .errors import DataValidationError
 from .model import ClusterPair, ClusterRecord, GeoPoint, PairCategory
 
 EARTH_RADIUS_KM = 6371.0
+PROPENSITY_MAX_ITER = 50    # Newton steps of the propensity fit
+
+_log = logging.getLogger(__name__)
 
 PAIRS_COLUMNS = ["country", "early_id", "late_id", "rank_distance",
                  "haversine_km", "category"]
@@ -71,7 +75,7 @@ def _logistic_propensity(coords: np.ndarray, is_late: np.ndarray) -> np.ndarray:
     y = is_late.astype(float)
     ridge = 1e-4
     beta = np.zeros(X.shape[1])
-    for _ in range(50):
+    for _ in range(PROPENSITY_MAX_ITER):
         eta = np.clip(X @ beta, -35.0, 35.0)
         p = 1.0 / (1.0 + np.exp(-eta))
         grad = X.T @ (y - p) - ridge * beta
@@ -88,6 +92,11 @@ def _logistic_propensity(coords: np.ndarray, is_late: np.ndarray) -> np.ndarray:
         beta = beta + scale * step
         if np.max(np.abs(grad)) < 1e-10:
             break
+    else:
+        _log.warning(
+            "propensity fit stopped at its cap of %d Newton iterations "
+            "with max|gradient| %.3g", PROPENSITY_MAX_ITER,
+            np.max(np.abs(grad)))
     eta = np.clip(X @ beta, -35.0, 35.0)
     return 1.0 / (1.0 + np.exp(-eta))
 

@@ -167,8 +167,14 @@ def _opt_float(text: str) -> Optional[float]:
 
 
 def read_prevalence(path) -> Tuple[Dict[str, Dict[int, float]], List[str]]:
-    """Long-format prevalence table -> {cluster_id: {year: pfpr}}."""
+    """Long-format prevalence table -> {cluster_id: {year: pfpr}}.
+
+    A row that does not parse is reported and skipped. A second valid row
+    for the same (cluster_id, year) raises ``DataValidationError``: either
+    value could be the right one.
+    """
     table: Dict[str, Dict[int, float]] = {}
+    first_line: Dict[Tuple[str, int], int] = {}
     warnings: List[str] = []
     for lineno, row in read_csv(path, PREVALENCE_COLUMNS):
         try:
@@ -176,9 +182,15 @@ def read_prevalence(path) -> Tuple[Dict[str, Dict[int, float]], List[str]]:
             pfpr = float(row["pfpr"])
             if not 0.0 <= pfpr <= 1.0:
                 raise ValueError(f"pfpr {pfpr} outside [0, 1]")
-            table.setdefault(row["cluster_id"], {})[year] = pfpr
         except (ValueError, DataValidationError) as exc:
             warnings.append(f"{path}:{lineno}: skipped prevalence row: {exc}")
+            continue
+        first = first_line.setdefault((row["cluster_id"], year), lineno)
+        if first != lineno:
+            raise DataValidationError(
+                f"{path}:{lineno}: prevalence of cluster_id "
+                f"{row['cluster_id']!r} in {year} is also on line {first}")
+        table.setdefault(row["cluster_id"], {})[year] = pfpr
     return table, warnings
 
 

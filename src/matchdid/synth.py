@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -147,7 +147,7 @@ def _trajectory(kind: str, rng, cfg: ScenarioConfig) -> Tuple[float, float]:
         return rng.uniform(0.44, 0.58), rng.uniform(0.05, 0.17)
     if kind == "stable_high":
         e = rng.uniform(0.44, 0.58)
-        return e, float(np.clip(e + rng.uniform(-0.045, 0.045), 0.41, 0.62))
+        return e, min(max(e + rng.uniform(-0.045, 0.045), 0.41), 0.62)
     if kind == "zero_late":
         return rng.uniform(0.44, 0.58), 0.0
     return rng.uniform(0.22, 0.38), rng.uniform(0.22, 0.38)
@@ -174,7 +174,7 @@ def _pfpr_by_year(
         noise = rng.uniform(-0.003, 0.003)
         if year in (cfg.early_year, cfg.late_year):
             noise = 0.0   # keep category guarantees exact at the survey years
-        out[year] = round(float(np.clip(level + noise, 0.0, 0.995)), 4)
+        out[year] = round(min(max(level + noise, 0.0), 0.995), 4)
     return out
 
 
@@ -208,7 +208,7 @@ def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
     coeffs = cfg.coefficients
     beta = np.array(coeffs.beta, dtype=float)
     clusters: List[ClusterRecord] = []
-    births: List[BirthRecord] = []
+    birth_fields: List[Dict] = []
     cluster_truth: Dict[str, Dict] = {}
     kind_counts: Dict[str, int] = {}
 
@@ -256,14 +256,15 @@ def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
                     "treated_pair": int(treated_like),
                 }
                 alpha = float(rng_cluster.normal(0.0, coeffs.sigma0))
-                births.extend(_gen_births(
+                birth_fields.extend(_gen_births(
                     cfg, coeffs, beta, seed, ci, ri, period, record,
                     low_prev=low_prev, late=late, treated=treated_like,
                     alpha=alpha, urban_frac=covs["urban"],
                     educ_mean=covs["mother_education"], ses=ses,
                 ))
 
-    births = _apply_missingness(cfg, seed, births)
+    _apply_missingness(cfg, seed, birth_fields)
+    births = [BirthRecord(**fields) for fields in birth_fields]
 
     coeff_dict = _jsonable(asdict(coeffs))
     truth = {
@@ -295,7 +296,9 @@ def _config_dict(cfg: ScenarioConfig) -> Dict:
 def _gen_births(
     cfg, coeffs, beta, seed, ci, ri, period, cluster,
     low_prev, late, treated, alpha, urban_frac, educ_mean, ses,
-) -> List[BirthRecord]:
+) -> List[Dict]:
+    """The cluster's births as ``BirthRecord`` field dicts; the records are
+    built once the missingness draw has settled each outcome."""
     rng = substream(seed, "births", ci, ri, period)
     u_true = cfg.u_true
     order_cdf = _cdf([0.25, 0.45, 0.30])
@@ -329,7 +332,7 @@ def _gen_births(
         reported = (None if rng.random() < cfg.missing_size_rate
                     else BirthSize(size))
 
-        out.append(BirthRecord(
+        out.append(dict(
             child_id=f"{cluster.cluster_id}-B{bi:04d}",
             cluster_id=cluster.cluster_id,
             mother_age_years=age, birth_order_code=order, wealth_index=wealth,
@@ -340,25 +343,27 @@ def _gen_births(
     return out
 
 
-def _apply_missingness(cfg, seed, births: List[BirthRecord]) -> List[BirthRecord]:
-    """Blank the outcome with the configured mechanism; neither mechanism
-    looks at the outcome itself, so missingness is at random by design."""
+def _apply_missingness(cfg, seed, births: List[Dict]) -> None:
+    """Blank the outcome (``lbw``) of the birth field dicts in place with
+    the configured mechanism; neither mechanism looks at the outcome
+    itself, so missingness is at random by design."""
     if cfg.missingness == "none" or cfg.missing_rate == 0.0:
-        return births
+        return
     rng = substream(seed, "missingness")
     if cfg.missingness == "mcar":
         miss = rng.random(len(births)) < cfg.missing_rate
     else:
         logits = np.array([
-            -0.35 * (b.wealth_index - 3) - 0.4 * b.urban
-            - 0.3 * b.mother_education + 0.25 * (b.birth_order_code - 2)
+            -0.35 * (b["wealth_index"] - 3) - 0.4 * b["urban"]
+            - 0.3 * b["mother_education"] + 0.25 * (b["birth_order_code"] - 2)
             for b in births
         ])
         intercept = _calibrate_intercept(logits, cfg.missing_rate)
         prob = 1.0 / (1.0 + np.exp(-(logits + intercept)))
         miss = rng.random(len(births)) < prob
-    return [replace(b, lbw=None) if drop else b
-            for b, drop in zip(births, miss)]
+    for b, drop in zip(births, miss):
+        if drop:
+            b["lbw"] = None
 
 
 def gen_scenario(cfg: ScenarioConfig, seed: int, out_dir) -> Dict:

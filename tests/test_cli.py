@@ -1,6 +1,5 @@
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -153,23 +152,6 @@ class TestExitCodes:
             [sys.executable, "-m", "matchdid", "not-a-command"],
             capture_output=True, text=True)
         assert bad.returncode == 1
-
-    def test_import_loads_no_scipy_stats(self):
-        # scipy.stats roughly doubles the import time of every matchdid
-        # process; the package needs none of it
-        import os
-        import subprocess
-        import sys
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ
-                     else [])))
-        done = subprocess.run(
-            [sys.executable, "-c", "import sys, matchdid; "
-             "print('scipy.stats' in sys.modules)"],
-            capture_output=True, text=True, env=env)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +363,17 @@ class TestRefusedArtifacts:
         assert code == 2
         assert ("births.csv: not readable as UTF-8 CSV (field larger than "
                 "field limit") in capsys.readouterr().err
+
+    def test_repeated_prevalence_row(self, workdir, finished, tmp_path,
+                                     capsys):
+        def repeat_first_row(data):
+            first = data.split(b"\r\n")[1]
+            return data + first.rsplit(b",", 1)[0] + b",0.99\r\n"
+        code = self._run_on_copy(workdir, finished, tmp_path, "ingest",
+                                 "prevalence.csv", repeat_first_row)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "prevalence.csv:" in err and "is also on line 2" in err
 
     @pytest.mark.parametrize("name, command", [
         ("study_years.csv", "match-geo"),

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestRankMahalanobis:
     def test_empty_side_rejected(self):
         with pytest.raises(DataValidationError):
             rank_mahalanobis([], self._clusters([(0, 0)], Role.LATE, 2012))
+
+    def test_propensity_fit_warns_at_newton_cap(self, monkeypatch, caplog):
+        rng = np.random.default_rng(9)
+        early = self._clusters(rng.uniform(-5, 5, size=(5, 2)), Role.EARLY, 2003)
+        late = self._clusters(rng.uniform(-5, 5, size=(5, 2)), Role.LATE, 2012)
+        caplog.set_level(logging.WARNING, logger="matchdid.geomatch")
+        rank_mahalanobis(early, late)
+        assert caplog.records == []
+        monkeypatch.setattr(geomatch, "PROPENSITY_MAX_ITER", 1)
+        rank_mahalanobis(early, late)
+        [record] = caplog.records
+        assert record.name == "matchdid.geomatch"
+        assert record.getMessage().startswith(
+            "propensity fit stopped at its cap of 1 Newton iterations "
+            "with max|gradient| ")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.integers(-3, 3).map(float),

@@ -212,13 +212,27 @@ class TestCsvRoundTrip:
                     replace(data.clusters[2],
                             cluster_id=data.clusters[0].cluster_id)]
         write_clusters_csv(clusters, tmp_path / "clusters.csv")
-        write_prevalence_csv(clusters, tmp_path / "prevalence.csv")
+        # one trajectory per id: a repeated prevalence row is its own error
+        write_prevalence_csv(clusters[:2], tmp_path / "prevalence.csv")
         with pytest.raises(DataValidationError) as err:
             read_clusters(tmp_path / "clusters.csv",
                           tmp_path / "prevalence.csv")
         message = str(err.value)
         assert f"clusters.csv:4: cluster_id {clusters[0].cluster_id!r}" in message
         assert "also on line 2" in message
+
+    def test_repeated_prevalence_year_rejected(self, tmp_path, data):
+        write_clusters_csv(data.clusters, tmp_path / "clusters.csv")
+        write_prevalence_csv(data.clusters, tmp_path / "prevalence.csv")
+        lines = (tmp_path / "prevalence.csv").read_text().splitlines()
+        cluster_id, year, _ = lines[1].split(",")
+        lines.append(f"{cluster_id},{year},0.99")
+        (tmp_path / "prevalence.csv").write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(DataValidationError) as err:
+            read_clusters(tmp_path / "clusters.csv",
+                          tmp_path / "prevalence.csv")
+        assert (f"prevalence.csv:{len(lines)}: prevalence of cluster_id "
+                f"{cluster_id!r} in {year} is also on line 2") in str(err.value)
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "births.csv").write_text("a,b,c\n1,2,3\n")
