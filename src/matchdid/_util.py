@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -53,7 +54,7 @@ def fmt(value) -> str:
         v = float(value)
         if v != v:
             return "nan"
-        if v == int(v) and abs(v) < 1e15:
+        if abs(v) < 1e15 and v == int(v):   # int() of an infinity raises
             return str(int(v))
         return repr(v)
     return str(value)
@@ -65,7 +66,7 @@ def fmt(value) -> str:
 # trailing newline. imputations.csv (impute.py) keeps its own block codec.
 
 
-def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path, columns: Iterable[str], rows: Iterable[Sequence]) -> None:
     """Write the header row ``columns``, then ``rows`` with their cells as
     given (callers format floats with ``fmt``)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -74,26 +75,73 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path, columns: Sequence[str]) -> Iterator[Tuple[int, Dict[str, str]]]:
+def optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """Parser of a cell that may be empty: ``""`` reads as None."""
+    def parse_optional(text: str):
+        return None if text == "" else parse(text)
+    return parse_optional
+
+
+def flag(text: str) -> bool:
+    """Parser of a 0/1 cell, the way ``fmt`` writes a bool."""
+    if text not in ("0", "1"):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return text == "1"
+
+
+def read_csv(path, columns: Mapping[str, Callable[[str], Any]],
+             skip: Optional[Callable[[int, str], None]] = None,
+             ) -> Iterator[Tuple[int, Dict[str, Any]]]:
     """Yield ``(line, row)`` for each data row of a CSV file whose header
-    must be ``columns``; ``line`` is the physical line the row ends on.
+    must be the keys of ``columns``; ``row`` maps each column to its cell
+    read by that column's parser, and ``line`` is the physical line the row
+    ends on.
 
     An empty file, another header, undecodable bytes and malformed CSV
-    raise ``DataValidationError`` naming the file.
+    raise ``DataValidationError`` naming the file. So does a row whose cell
+    count differs from the header's or whose cell a parser refuses, naming
+    the line and the column; given ``skip``, such a row is instead passed
+    to ``skip(line, reason)`` and left out.
     """
+    names, parsers = list(columns), list(columns.values())
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames != list(columns):
-                found = ("an empty file" if reader.fieldnames is None
-                         else f"header {reader.fieldnames}")
+            header = next(reader, None)
+            if header != names:
+                found = ("an empty file" if header is None
+                         else f"header {header}")
                 raise DataValidationError(
-                    f"{path}: expected header {list(columns)}, found {found}")
-            for row in reader:
+                    f"{path}: expected header {names}, found {found}")
+            for cells in filter(None, reader):      # pass over blank lines
+                try:
+                    row = _parse_row(names, parsers, cells)
+                except ValueError as exc:
+                    if skip is None:
+                        raise DataValidationError(
+                            f"{path}:{reader.line_num}: {exc}") from None
+                    skip(reader.line_num, str(exc))
+                    continue
                 yield reader.line_num, row
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataValidationError(
                 f"{path}: not readable as UTF-8 CSV ({exc})") from None
+
+
+def _parse_row(names, parsers, cells) -> Dict[str, Any]:
+    if len(cells) < len(names):
+        raise ValueError(f"column {names[len(cells)]!r} is missing "
+                         f"({len(cells)} cells for {len(names)} columns)")
+    if len(cells) > len(names):
+        raise ValueError(f"a cell follows the last column {names[-1]!r} "
+                         f"({len(cells)} cells for {len(names)} columns)")
+    row = {}
+    for name, parse, cell in zip(names, parsers, cells):
+        try:
+            row[name] = parse(cell)
+        except ValueError as exc:
+            raise ValueError(f"column {name!r}: {exc}") from None
+    return row
 
 
 def write_json(path, obj) -> None:

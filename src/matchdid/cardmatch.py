@@ -30,8 +30,9 @@ from .errors import ConvergenceError, DataValidationError
 from .geomatch import assignment_indices
 from .model import COVARIATE_NAMES, ClusterPair, Quadruple
 
-QUADRUPLES_COLUMNS = ["treated_early_id", "treated_late_id",
-                      "control_early_id", "control_late_id"]
+QUADRUPLES_COLUMNS = dict.fromkeys(["treated_early_id", "treated_late_id",
+                                    "control_early_id", "control_late_id"],
+                                   str)
 BALANCE_COLUMNS = [
     "covariate", "period", "treated_mean_before", "control_mean_before",
     "treated_mean_after", "control_mean_after", "stddiff_before",

@@ -24,6 +24,7 @@ import dataclasses
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from ._util import optional
 from .errors import ConfigError
 from .geomatch import CaliperSpec
 from .model import ModelSpec
@@ -119,6 +120,14 @@ def _parse_grid(text: str) -> Tuple[Tuple[float, float], ...]:
     return tuple(points)
 
 
+def _parse_beta(text: str) -> Tuple[float, ...]:
+    beta = tuple(float(v) for v in text.split(","))
+    if len(beta) != len(DEFAULT_COEFFICIENTS.beta):
+        raise ConfigError(
+            f"beta needs {len(DEFAULT_COEFFICIENTS.beta)} entries")
+    return beta
+
+
 def load_config(path: Optional[str] = None, preset: str = "primary") -> RunConfig:
     """Start from a preset and apply overrides from an INI file."""
     try:
@@ -142,97 +151,59 @@ def load_config(path: Optional[str] = None, preset: str = "primary") -> RunConfi
     return cfg
 
 
+# the keys of each section and the parser of each key's value; a section
+# other than [scenario] overrides the RunConfig field of its name
+_KEYS = {
+    "model": {"imputations": int,
+              **dict.fromkeys(["cutoff_high", "cutoff_low", "highhigh_gap",
+                               "balance_threshold"], float)},
+    "filters": {"max_child_age": optional(int),
+                "first_born_only": _parse_bool},
+    "matching": dict.fromkeys(["caliper_width", "caliper_penalty"],
+                              optional(float)),
+    "sensitivity": {"enabled": _parse_bool, "grid": _parse_grid},
+    "inputs": dict.fromkeys(["clusters", "prevalence", "births"], str),
+}
+# [scenario] keys of the true coefficients
+_COEFFICIENT_KEYS = {
+    **dict.fromkeys(["k0", "k1", "k2", "k3", "sigma0"], float),
+    "beta": _parse_beta,
+}
+_SCENARIO_KEYS = {
+    **dict.fromkeys(["n_countries", "regions_per_country",
+                     "births_per_cluster", "early_year", "late_year"], int),
+    **dict.fromkeys(["decline_fraction", "stable_high_fraction",
+                     "zero_late_fraction", "covariate_imbalance",
+                     "late_ses_drift", "missing_rate", "missing_size_rate",
+                     "multiple_birth_rate"], float),
+    "missingness": str.strip,
+    **_COEFFICIENT_KEYS,
+}
+
+
+def _parse(section: str, keys, items) -> Dict:
+    kwargs = {}
+    for key, value in items:
+        if key not in keys:
+            raise ConfigError(f"unknown [{section}] key: {key}")
+        kwargs[key] = keys[key](value)
+    return kwargs
+
+
 def _apply_overrides(cfg: RunConfig, parser: configparser.ConfigParser) -> RunConfig:
-    known = {"model", "filters", "matching", "scenario", "sensitivity", "inputs"}
-    unknown = set(parser.sections()) - known
+    unknown = set(parser.sections()) - {*_KEYS, "scenario"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    if parser.has_section("model"):
-        kwargs = {}
-        for key, value in parser.items("model"):
-            if key == "imputations":
-                kwargs[key] = int(value)
-            elif key in ("cutoff_high", "cutoff_low", "highhigh_gap",
-                         "balance_threshold"):
-                kwargs[key] = float(value)
-            else:
-                raise ConfigError(f"unknown [model] key: {key}")
-        cfg = replace(cfg, model=replace(cfg.model, **kwargs))
-
-    if parser.has_section("filters"):
-        kwargs = {}
-        for key, value in parser.items("filters"):
-            if key == "max_child_age":
-                kwargs[key] = None if value.strip() == "" else int(value)
-            elif key == "first_born_only":
-                kwargs[key] = _parse_bool(value)
-            else:
-                raise ConfigError(f"unknown [filters] key: {key}")
-        cfg = replace(cfg, filters=replace(cfg.filters, **kwargs))
-
-    if parser.has_section("matching"):
-        kwargs = {}
-        for key, value in parser.items("matching"):
-            if key in ("caliper_width", "caliper_penalty"):
-                kwargs[key] = None if value.strip() == "" else float(value)
-            else:
-                raise ConfigError(f"unknown [matching] key: {key}")
-        cfg = replace(cfg, matching=replace(cfg.matching, **kwargs))
-
+    for section, keys in _KEYS.items():
+        if parser.has_section(section):
+            kwargs = _parse(section, keys, parser.items(section))
+            cfg = replace(cfg, **{section: replace(getattr(cfg, section),
+                                                   **kwargs)})
     if parser.has_section("scenario"):
-        cfg = replace(cfg, scenario=_scenario_overrides(cfg.scenario, parser))
-
-    if parser.has_section("sensitivity"):
-        kwargs = {}
-        for key, value in parser.items("sensitivity"):
-            if key == "enabled":
-                kwargs[key] = _parse_bool(value)
-            elif key == "grid":
-                kwargs[key] = _parse_grid(value)
-            else:
-                raise ConfigError(f"unknown [sensitivity] key: {key}")
-        cfg = replace(cfg, sensitivity=replace(cfg.sensitivity, **kwargs))
-
-    if parser.has_section("inputs"):
-        kwargs = {}
-        for key, value in parser.items("inputs"):
-            if key in ("clusters", "prevalence", "births"):
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"unknown [inputs] key: {key}")
-        cfg = replace(cfg, inputs=replace(cfg.inputs, **kwargs))
-
+        kwargs = _parse("scenario", _SCENARIO_KEYS, parser.items("scenario"))
+        coeffs = {key: kwargs.pop(key) for key in _COEFFICIENT_KEYS
+                  if key in kwargs}
+        cfg = replace(cfg, scenario=replace(
+            cfg.scenario, **kwargs,
+            coefficients=replace(cfg.scenario.coefficients, **coeffs)))
     return cfg
-
-
-def _scenario_overrides(base: ScenarioConfig,
-                        parser: configparser.ConfigParser) -> ScenarioConfig:
-    int_keys = {"n_countries", "regions_per_country", "births_per_cluster",
-                "early_year", "late_year"}
-    float_keys = {"decline_fraction", "stable_high_fraction",
-                  "zero_late_fraction", "covariate_imbalance",
-                  "late_ses_drift", "missing_rate", "missing_size_rate",
-                  "multiple_birth_rate"}
-    coeff_keys = {"k0", "k1", "k2", "k3", "sigma0"}
-    kwargs = {}
-    coeffs = base.coefficients
-    for key, value in parser.items("scenario"):
-        if key in int_keys:
-            kwargs[key] = int(value)
-        elif key in float_keys:
-            kwargs[key] = float(value)
-        elif key == "missingness":
-            kwargs[key] = value.strip()
-        elif key in coeff_keys:
-            coeffs = replace(coeffs, **{key: float(value)})
-        elif key == "beta":
-            beta = tuple(float(v) for v in value.split(","))
-            if len(beta) != len(DEFAULT_COEFFICIENTS.beta):
-                raise ConfigError(
-                    f"beta needs {len(DEFAULT_COEFFICIENTS.beta)} entries"
-                )
-            coeffs = replace(coeffs, beta=beta)
-        else:
-            raise ConfigError(f"unknown [scenario] key: {key}")
-    return replace(base, coefficients=coeffs, **kwargs)

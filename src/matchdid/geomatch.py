@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._util import fmt, read_csv, write_csv
+from ._util import fmt, optional, read_csv, write_csv
 from .errors import DataValidationError
 from .model import ClusterPair, ClusterRecord, GeoPoint, PairCategory
 
@@ -25,8 +25,9 @@ PROPENSITY_MAX_ITER = 50    # Newton steps of the propensity fit
 
 _log = logging.getLogger(__name__)
 
-PAIRS_COLUMNS = ["country", "early_id", "late_id", "rank_distance",
-                 "haversine_km", "category"]
+PAIRS_COLUMNS = {"country": str, "early_id": str, "late_id": str,
+                 "rank_distance": optional(float), "haversine_km": float,
+                 "category": optional(PairCategory)}
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -360,11 +361,9 @@ def read_pairs_csv(path, clusters_by_id) -> List[ClusterPair]:
             raise DataValidationError(
                 f"{path}: pair references unknown cluster {exc}"
             ) from None
-        category, rank_distance = row["category"], row["rank_distance"]
         pairs.append(ClusterPair(
-            early=early, late=late,
-            category=None if category == "" else PairCategory(category),
-            geo_distance_km=float(row["haversine_km"]),
-            rank_distance=None if rank_distance == "" else float(rank_distance),
+            early=early, late=late, category=row["category"],
+            geo_distance_km=row["haversine_km"],
+            rank_distance=row["rank_distance"],
         ))
     return pairs

@@ -67,9 +67,10 @@ class InferenceDesign:
     """Everything fixed across imputation replicates: the design matrix,
     cluster coding, cell masks, and the observed outcome.
 
-    ``regressors`` names the columns of X; covariate columns that are
+    ``regressors`` names the columns of X. Covariate columns that are
     constant over the kept records (e.g. birth order under a first-born
-    filter) are pruned and listed in ``dropped_regressors``.
+    filter) are pruned, so they are the names of ``REGRESSORS`` missing
+    from it.
     """
 
     records: Tuple[BirthRecord, ...]
@@ -78,9 +79,7 @@ class InferenceDesign:
     cluster_ids: Tuple[str, ...]
     observed_lbw: np.ndarray            # nan where missing
     cell_masks: Mapping[str, np.ndarray]  # hl_early, hl_late, hh_early, hh_late
-    n_dropped: int
     regressors: Tuple[str, ...] = REGRESSORS
-    dropped_regressors: Tuple[str, ...] = ()
 
     @property
     def n_records(self) -> int:
@@ -136,12 +135,9 @@ def build_design(
     X = np.array(rows, dtype=float)
     # covariates made constant by a row filter are aliased with the
     # intercept; drop them instead of failing every replicate fit
-    keep_cols, dropped = [], []
-    for j, name in enumerate(REGRESSORS):
-        if name in COVARIATE_REGRESSORS and X[:, j].min() == X[:, j].max():
-            dropped.append(name)
-        else:
-            keep_cols.append(j)
+    keep_cols = [j for j, name in enumerate(REGRESSORS)
+                 if name not in COVARIATE_REGRESSORS
+                 or X[:, j].min() != X[:, j].max()]
     return InferenceDesign(
         records=tuple(kept),
         X=X[:, keep_cols],
@@ -149,9 +145,7 @@ def build_design(
         cluster_ids=cluster_ids,
         observed_lbw=np.array(observed, dtype=float),
         cell_masks={k: np.array(v, dtype=bool) for k, v in masks.items()},
-        n_dropped=len(records) - len(kept),
         regressors=tuple(REGRESSORS[j] for j in keep_cols),
-        dropped_regressors=tuple(dropped),
     )
 
 
@@ -306,24 +300,6 @@ class MixedModelData:
                   + logdet_v.sum(axis=1))
         with np.errstate(divide="ignore"):
             return (self.n - q) * np.log(rss) + logdet, rss, chol, z
-
-    def reml_loglik(self, y: np.ndarray, sigma0_sq: float, sigma1_sq: float) -> float:
-        """Full REML log-likelihood of one outcome at arbitrary variance
-        components, summed cluster by cluster."""
-        if sigma1_sq <= 0:
-            return -math.inf
-        xy = np.column_stack([self.X, np.asarray(y, dtype=float)[self.order]])
-        totals = np.add.reduceat(xy, self.starts, axis=0)
-        theta, p = sigma0_sq / sigma1_sq, self.p
-        c = theta / (1.0 + theta * self.cluster_sizes)
-        w = xy.T @ xy - (totals * c[:, None]).T @ totals
-        chol = np.linalg.cholesky(w[:p, :p])
-        gamma = scipy.linalg.cho_solve((chol, True), w[:p, p])
-        rss = max(w[p, p] - float(w[:p, p] @ gamma), 0.0)
-        logdet_xwx = 2.0 * float(np.log(np.diag(chol)).sum())
-        logdet_v = float(np.log1p(theta * self.cluster_sizes).sum())
-        return -0.5 * ((self.n - p) * math.log(2.0 * math.pi * sigma1_sq)
-                       + logdet_v + logdet_xwx + rss / sigma1_sq)
 
     def _golden_section(self, lo, hi, stats):
         """Minimise the criterion over log theta in [lo, hi], one bracket

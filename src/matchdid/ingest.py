@@ -4,20 +4,12 @@ Reads the three input tables (clusters, prevalence, births), selects each
 country's early/late study years, aggregates individual rows to cluster
 covariate means, and applies the record exclusions used before imputation.
 
-File contracts (UTF-8, comma separated, '.' decimal point, header row
-required; empty string means missing):
-
-* clusters.csv:   cluster_id, country, survey_year, role, lat, lon, urban,
-                  electricity, floor, toilet, mother_education, contraception
-* prevalence.csv: cluster_id, year, pfpr
-* births.csv:     child_id, cluster_id, mother_age_years, birth_order_code,
-                  wealth_index, urban, mother_education, child_is_boy,
-                  married, antenatal, reported_size, multiple_birth,
-                  child_age_years, lbw
-
-A file that is empty, has another header, is not UTF-8 text or is not
-valid CSV is refused, and so is a cluster_id given twice in clusters.csv
-(``DataValidationError``, exit code 2). A row that fails to parse is
+The file contracts are the column tables below (UTF-8, comma separated,
+'.' decimal point, header row required; an empty cell means missing),
+one parser per column. A file that is empty, has another header, is not
+UTF-8 text or is not valid CSV is refused, and so is a cluster_id given
+twice in clusters.csv (``DataValidationError``, exit code 2). A row with
+a cell that fails to parse or with another cell count than the header is
 skipped with a warning naming its physical line.
 """
 
@@ -26,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ._util import fmt, read_csv, write_csv
+from ._util import fmt, optional, read_csv, write_csv
 from .errors import DataValidationError
 from .model import (
     COVARIATE_NAMES,
@@ -42,17 +34,22 @@ EARLY_WINDOW = (2000, 2007)
 LATE_WINDOW = (2008, 2015)
 FALLBACK_EARLY_YEARS = (1999, 1998)
 
-CLUSTER_COLUMNS = [
-    "cluster_id", "country", "survey_year", "role", "lat", "lon",
-    "urban", "electricity", "floor", "toilet", "mother_education",
-    "contraception",
-]
-PREVALENCE_COLUMNS = ["cluster_id", "year", "pfpr"]
-BIRTH_COLUMNS = [
-    "child_id", "cluster_id", "mother_age_years", "birth_order_code",
-    "wealth_index", "urban", "mother_education", "child_is_boy", "married",
-    "antenatal", "reported_size", "multiple_birth", "child_age_years", "lbw",
-]
+CLUSTER_COLUMNS = {
+    "cluster_id": str, "country": str, "survey_year": int, "role": Role,
+    "lat": float, "lon": float,
+    **dict.fromkeys(["urban", "electricity", "floor", "toilet",
+                     "mother_education", "contraception"], optional(float)),
+}
+PREVALENCE_COLUMNS = {"cluster_id": str, "year": int, "pfpr": float}
+# the names of BirthRecord's fields
+BIRTH_COLUMNS = {
+    "child_id": str, "cluster_id": str,
+    **dict.fromkeys(["mother_age_years", "birth_order_code", "wealth_index",
+                     "urban", "mother_education", "child_is_boy", "married",
+                     "antenatal"], int),
+    "reported_size": optional(BirthSize), "multiple_birth": int,
+    "child_age_years": int, "lbw": optional(int),
+}
 
 
 @dataclass(frozen=True)
@@ -162,8 +159,12 @@ def filter_births(
 # CSV reading
 
 
-def _opt_float(text: str) -> Optional[float]:
-    return None if text == "" else float(text)
+def _skipper(path, kind: str, warnings: List[str]):
+    """The ``skip(line, reason)`` of one input table: a warning that its
+    ``kind`` row on that line was left out."""
+    def skip(line: int, reason) -> None:
+        warnings.append(f"{path}:{line}: skipped {kind} row: {reason}")
+    return skip
 
 
 def read_prevalence(path) -> Tuple[Dict[str, Dict[int, float]], List[str]]:
@@ -176,21 +177,18 @@ def read_prevalence(path) -> Tuple[Dict[str, Dict[int, float]], List[str]]:
     table: Dict[str, Dict[int, float]] = {}
     first_line: Dict[Tuple[str, int], int] = {}
     warnings: List[str] = []
-    for lineno, row in read_csv(path, PREVALENCE_COLUMNS):
-        try:
-            year = int(row["year"])
-            pfpr = float(row["pfpr"])
-            if not 0.0 <= pfpr <= 1.0:
-                raise ValueError(f"pfpr {pfpr} outside [0, 1]")
-        except (ValueError, DataValidationError) as exc:
-            warnings.append(f"{path}:{lineno}: skipped prevalence row: {exc}")
+    skip = _skipper(path, "prevalence", warnings)
+    for lineno, row in read_csv(path, PREVALENCE_COLUMNS, skip):
+        cluster_id, year, pfpr = row["cluster_id"], row["year"], row["pfpr"]
+        if not 0.0 <= pfpr <= 1.0:
+            skip(lineno, f"pfpr {pfpr} outside [0, 1]")
             continue
-        first = first_line.setdefault((row["cluster_id"], year), lineno)
+        first = first_line.setdefault((cluster_id, year), lineno)
         if first != lineno:
             raise DataValidationError(
                 f"{path}:{lineno}: prevalence of cluster_id "
-                f"{row['cluster_id']!r} in {year} is also on line {first}")
-        table.setdefault(row["cluster_id"], {})[year] = pfpr
+                f"{cluster_id!r} in {year} is also on line {first}")
+        table.setdefault(cluster_id, {})[year] = pfpr
     return table, warnings
 
 
@@ -202,31 +200,31 @@ def read_clusters(
     Row-level failures are reported and skipped; parsing continues. A
     cluster whose trajectory lacks its own prevalence year is kept but
     flagged, since downstream classification will need that year. A
-    cluster_id given twice raises ``DataValidationError``: pairs and
-    quadruples name clusters by id.
+    cluster_id given twice on rows that parse raises
+    ``DataValidationError``: pairs and quadruples name clusters by id.
     """
     prevalence, warnings = read_prevalence(prevalence_path)
+    skip = _skipper(clusters_path, "cluster", warnings)
     clusters: List[ClusterRecord] = []
     first_line: Dict[str, int] = {}
-    for lineno, row in read_csv(clusters_path, CLUSTER_COLUMNS):
+    for lineno, row in read_csv(clusters_path, CLUSTER_COLUMNS, skip):
         first = first_line.setdefault(row["cluster_id"], lineno)
         if first != lineno:
             raise DataValidationError(
                 f"{clusters_path}:{lineno}: cluster_id {row['cluster_id']!r} "
                 f"is also on line {first}")
         try:
-            covariates = {name: _opt_float(row[name]) for name in COVARIATE_NAMES}
             record = ClusterRecord(
                 cluster_id=row["cluster_id"],
                 country=row["country"],
-                survey_year=int(row["survey_year"]),
-                role=Role(row["role"]),
-                location=GeoPoint(float(row["lat"]), float(row["lon"])),
-                covariates=covariates,
+                survey_year=row["survey_year"],
+                role=row["role"],
+                location=GeoPoint(row["lat"], row["lon"]),
+                covariates={name: row[name] for name in COVARIATE_NAMES},
                 pfpr_by_year=prevalence.get(row["cluster_id"], {}),
             )
-        except (ValueError, KeyError, DataValidationError) as exc:
-            warnings.append(f"{clusters_path}:{lineno}: skipped cluster row: {exc}")
+        except DataValidationError as exc:
+            skip(lineno, exc)
             continue
         if record.prevalence_year not in record.pfpr_by_year:
             warnings.append(
@@ -240,28 +238,12 @@ def read_clusters(
 def read_births(path) -> Tuple[List[BirthRecord], List[str]]:
     births: List[BirthRecord] = []
     warnings: List[str] = []
-    for lineno, row in read_csv(path, BIRTH_COLUMNS):
+    skip = _skipper(path, "birth", warnings)
+    for lineno, row in read_csv(path, BIRTH_COLUMNS, skip):
         try:
-            size = row["reported_size"]
-            lbw = row["lbw"]
-            births.append(BirthRecord(
-                child_id=row["child_id"],
-                cluster_id=row["cluster_id"],
-                mother_age_years=int(row["mother_age_years"]),
-                birth_order_code=int(row["birth_order_code"]),
-                wealth_index=int(row["wealth_index"]),
-                urban=int(row["urban"]),
-                mother_education=int(row["mother_education"]),
-                child_is_boy=int(row["child_is_boy"]),
-                married=int(row["married"]),
-                antenatal=int(row["antenatal"]),
-                reported_size=None if size == "" else BirthSize(size),
-                multiple_birth=int(row["multiple_birth"]),
-                child_age_years=int(row["child_age_years"]),
-                lbw=None if lbw == "" else int(lbw),
-            ))
-        except (ValueError, KeyError, DataValidationError) as exc:
-            warnings.append(f"{path}:{lineno}: skipped birth row: {exc}")
+            births.append(BirthRecord(**row))
+        except DataValidationError as exc:
+            skip(lineno, exc)
     return births, warnings
 
 
@@ -273,7 +255,7 @@ def write_clusters_csv(clusters: Sequence[ClusterRecord], path) -> None:
     write_csv(path, CLUSTER_COLUMNS, ([
         c.cluster_id, c.country, c.survey_year, c.role.value,
         fmt(c.location.latitude_deg), fmt(c.location.longitude_deg),
-        *(fmt(c.covariates[name]) for name in CLUSTER_COLUMNS[6:]),
+        *(fmt(c.covariates[name]) for name in list(CLUSTER_COLUMNS)[6:]),
     ] for c in clusters))
 
 

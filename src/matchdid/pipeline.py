@@ -19,7 +19,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ._util import read_csv, sha256_file, write_csv, write_json
+from ._util import flag, optional, read_csv, sha256_file, write_csv, write_json
 from .cardmatch import (
     cardinality_match,
     read_quadruples_csv,
@@ -59,9 +59,13 @@ from .report import match_diagnostics, write_match_diagnostics_csv
 from .sensan import sensitivity_grid, write_sensitivity_csv
 from .synth import gen_scenario
 
-STUDY_YEARS_COLUMNS = ["country", "early_year", "late_year",
-                       "prevalence_early_year", "prevalence_late_year",
-                       "included"]
+# the years are StudySelection's fields, empty on an excluded country's row
+STUDY_YEARS_COLUMNS = {
+    "country": str,
+    **dict.fromkeys(["early_year", "late_year", "prevalence_early_year",
+                     "prevalence_late_year"], optional(int)),
+    "included": flag,
+}
 
 INPUTS = ("clusters.csv", "prevalence.csv", "births.csv")
 DESIGN_INPUTS = (*INPUTS, "pairs.csv", "quadruples.csv")
@@ -212,15 +216,14 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
 
 def _read_study_years(path: Path) -> Dict[str, Optional[StudySelection]]:
     selections: Dict[str, Optional[StudySelection]] = {}
-    for _, row in read_csv(path, STUDY_YEARS_COLUMNS):
-        if row["included"] == "1":
-            selections[row["country"]] = StudySelection(
-                int(row["early_year"]), int(row["late_year"]),
-                int(row["prevalence_early_year"]),
-                int(row["prevalence_late_year"]),
-            )
-        else:
-            selections[row["country"]] = None
+    for line, row in read_csv(path, STUDY_YEARS_COLUMNS):
+        country, included = row.pop("country"), row.pop("included")
+        empty = [name for name, year in row.items() if year is None]
+        if included and empty:
+            raise DataValidationError(
+                f"{path}:{line}: column {empty[0]!r} is empty on the row of "
+                f"included country {country!r}")
+        selections[country] = StudySelection(**row) if included else None
     return selections
 
 

@@ -112,7 +112,6 @@ class SensitivityRow:
     ci_low: float
     ci_high: float
     p_value: float
-    lam_estimate: float
     skipped: bool = False
     note: str = ""
 
@@ -144,8 +143,7 @@ def sensitivity_grid(
             rows.append(SensitivityRow(
                 case=case_label(p1, p2), p1=p1, p2=p2,
                 estimate=math.nan, ci_low=math.nan, ci_high=math.nan,
-                p_value=math.nan, lam_estimate=math.nan,
-                skipped=True, note=str(exc),
+                p_value=math.nan, skipped=True, note=str(exc),
             ))
             continue
         res = sensitivity_fit(design, imputed_sets, p1, p2, seed)
@@ -153,7 +151,6 @@ def sensitivity_grid(
             case=res.case, p1=p1, p2=p2,
             estimate=res.k1.estimate, ci_low=res.k1.ci_low,
             ci_high=res.k1.ci_high, p_value=res.k1.p_value,
-            lam_estimate=res.lam.estimate,
         ))
     return rows
 

@@ -1,7 +1,14 @@
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from matchdid import cli
 from matchdid.config import PRESETS, load_config
@@ -312,8 +319,6 @@ class TestCorruptedImputations:
     ])
     def test_fit_refuses_corrupted_file(self, workdir, finished, tmp_path,
                                         capsys, corrupt, message):
-        import csv
-        import shutil
         _, cfg_path = workdir
         out = tmp_path / "run"
         shutil.copytree(finished, out)
@@ -334,7 +339,6 @@ class TestRefusedArtifacts:
     the file."""
 
     def _run_on_copy(self, workdir, finished, tmp_path, command, name, edit):
-        import shutil
         _, cfg_path = workdir
         out = tmp_path / "run"
         shutil.copytree(finished, out)
@@ -389,6 +393,77 @@ class TestRefusedArtifacts:
         err = capsys.readouterr().err
         assert f"{name}: expected header [" in err
         assert "found header ['a', 'b']" in err
+
+    @pytest.mark.parametrize("name, command, edit, reason", [
+        ("pairs.csv", "classify",
+         lambda cells: cells[:4] + ["abc"] + cells[5:],
+         "column 'haversine_km': could not convert string to float: 'abc'"),
+        ("pairs.csv", "match-card", lambda cells: cells[:5] + ["zzz"],
+         "column 'category': 'zzz' is not a valid PairCategory"),
+        ("pairs.csv", "classify", lambda cells: cells[:3],
+         "column 'rank_distance' is missing (3 cells for 6 columns)"),
+        ("quadruples.csv", "impute", lambda cells: cells + ["x"],
+         "a cell follows the last column 'control_late_id' (5 cells for 4 "
+         "columns)"),
+        ("study_years.csv", "match-geo",
+         lambda cells: cells[:1] + ["20x"] + cells[2:],
+         "column 'early_year': invalid literal for int() with base 10: '20x'"),
+        ("study_years.csv", "match-geo", lambda cells: cells[:5] + ["2"],
+         "column 'included': '2' is not 0 or 1"),
+    ])
+    def test_malformed_row(self, workdir, finished, tmp_path, capsys, name,
+                           command, edit, reason):
+        def edit_line_2(data):
+            lines = data.split(b"\r\n")
+            lines[1] = b",".join(c.encode() for c in edit(
+                lines[1].decode().split(",")))
+            return b"\r\n".join(lines)
+        code = self._run_on_copy(workdir, finished, tmp_path, command, name,
+                                 edit_line_2)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error (data): {tmp_path / 'run' / name}:2: {reason}\n"
+
+
+# the command that reads each CSV of a finished run
+READERS = {"clusters.csv": "ingest", "prevalence.csv": "ingest",
+           "births.csv": "ingest", "study_years.csv": "match-geo",
+           "pairs.csv": "match-card", "quadruples.csv": "impute",
+           "imputations.csv": "fit"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_csv_exits_0_or_2(workdir, finished, data):
+    """One cell replaced by a drawn string, one cell dropped, or the file
+    cut at a drawn byte: the stage reading the file runs or refuses it."""
+    _, cfg_path = workdir
+    name = data.draw(st.sampled_from(sorted(READERS)), label="file")
+    raw = (finished / name).read_bytes()
+    how = data.draw(st.sampled_from(["replace", "drop", "cut"]), label="how")
+    if how == "cut":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="byte")]
+    else:
+        rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        j = data.draw(st.integers(0, len(rows[i]) - 1), label="cell")
+        if how == "drop":
+            del rows[i][j]
+        else:
+            rows[i][j] = data.draw(st.text(max_size=12), label="text")
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows(rows)
+        raw = text.getvalue().encode()
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(shutil.copytree(finished, Path(tmp) / "run"))
+        (out / name).write_bytes(raw)
+        with contextlib.redirect_stderr(stderr):
+            code = run_cli(READERS[name], "--config", cfg_path, "--seed", 5,
+                           "--out-dir", out)
+    assert code in (0, 2), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_pipeline_parses_inputs_once(workdir, tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -186,14 +187,40 @@ class TestCsvRoundTrip:
         back, _ = read_births(tmp_path / "births.csv")
         assert back == births
 
-    def test_corrupt_row_skipped_with_warning(self, tmp_path, data):
+    @pytest.mark.parametrize("table, edit, reason", [
+        pytest.param("births", lambda row: row.replace(",", ";;", 1),
+                     "column 'lbw' is missing (13 cells for 14 columns)",
+                     id="births-separator"),
+        pytest.param("births",
+                     lambda row: re.sub(r"^([^,]*,[^,]*),\d+", r"\1,old", row),
+                     "column 'mother_age_years': invalid literal for int() "
+                     "with base 10: 'old'", id="births-bad-cell"),
+        pytest.param("births", lambda row: ",".join(row.split(",")[:3]),
+                     "column 'birth_order_code' is missing (3 cells for 14 "
+                     "columns)", id="births-cut-to-3-cells"),
+        pytest.param("births", lambda row: row + ",1",
+                     "a cell follows the last column 'lbw' (15 cells for 14 "
+                     "columns)", id="births-extra-cell"),
+        pytest.param("clusters", lambda row: ",".join(row.split(",")[:3]),
+                     "column 'role' is missing (3 cells for 12 columns)",
+                     id="clusters-cut-to-3-cells"),
+    ])
+    def test_corrupt_row_skipped_with_warning(self, tmp_path, data, table,
+                                              edit, reason):
+        write_clusters_csv(data.clusters, tmp_path / "clusters.csv")
+        write_prevalence_csv(data.clusters, tmp_path / "prevalence.csv")
         write_births_csv(data.births, tmp_path / "births.csv")
-        lines = (tmp_path / "births.csv").read_text().splitlines()
-        lines[3] = lines[3].replace(",", ";;", 1)  # break one row
-        (tmp_path / "births.csv").write_text("\n".join(lines) + "\n")
-        back, warnings = read_births(tmp_path / "births.csv")
-        assert len(back) == len(data.births) - 1
-        assert len(warnings) == 1 and ":4:" in warnings[0]
+        path = tmp_path / f"{table}.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = edit(lines[3])   # break one row
+        path.write_text("\n".join(lines) + "\n")
+        if table == "births":
+            (back, warnings), records = read_births(path), data.births
+        else:
+            back, warnings = read_clusters(path, tmp_path / "prevalence.csv")
+            records = data.clusters
+        assert back == records[:2] + records[3:]
+        assert warnings == [f"{path}:4: skipped {table[:-1]} row: {reason}"]
 
     def test_warning_names_physical_line(self, tmp_path):
         # the first row's quoted child_id spans lines 2-3, so the bad row
