@@ -21,7 +21,7 @@ _EXPORTS = {
     "model": (
         "BirthRecord", "BirthSize", "ClusterPair", "ClusterRecord",
         "Coefficients", "GeoPoint", "ModelSpec", "PairCategory",
-        "PrevalenceLevel", "Quadruple", "Role", "SensitivityParams",
+        "PrevalenceLevel", "Quadruple", "Role",
     ),
     "errors": (
         "ConfigError", "ConvergenceError", "DataValidationError",
@@ -45,10 +45,7 @@ _EXPORTS = {
         "build_design", "did_contrasts", "fit_mixed_lpm", "rubin_combine",
         "run_primary_analysis",
     ),
-    "ingest": (
-        "AvailabilityTable", "CountryAvailability", "StudySelection",
-        "aggregate_cluster_covariates", "filter_births", "select_study_years",
-    ),
+    "ingest": ("StudySelection", "filter_births", "select_study_years"),
     "report": ("MatchDiagnostics", "match_diagnostics"),
     "sensan": (
         "SensitivityResult", "SensitivityRow", "gen_u", "sensitivity_fit",

@@ -6,8 +6,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from typing import (Any, Callable, Dict, Iterable, Iterator, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -91,6 +91,7 @@ def flag(text: str) -> bool:
 
 def read_csv(path, columns: Mapping[str, Callable[[str], Any]],
              skip: Optional[Callable[[int, str], None]] = None,
+             unique: Iterable[Union[str, Tuple[str, ...]]] = (),
              ) -> Iterator[Tuple[int, Dict[str, Any]]]:
     """Yield ``(line, row)`` for each data row of a CSV file whose header
     must be the keys of ``columns``; ``row`` maps each column to its cell
@@ -102,8 +103,14 @@ def read_csv(path, columns: Mapping[str, Callable[[str], Any]],
     count differs from the header's or whose cell a parser refuses, naming
     the line and the column; given ``skip``, such a row is instead passed
     to ``skip(line, reason)`` and left out.
+
+    ``unique`` names each column, or tuple of columns, whose value may not
+    repeat: a row that repeats one on a row that parsed raises
+    ``DataValidationError`` naming the line and the line it repeats.
     """
     names, parsers = list(columns), list(columns.values())
+    keys = [(key,) if isinstance(key, str) else key for key in unique]
+    first_lines: List[Dict[tuple, int]] = [{} for _ in keys]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -122,6 +129,15 @@ def read_csv(path, columns: Mapping[str, Callable[[str], Any]],
                             f"{path}:{reader.line_num}: {exc}") from None
                     skip(reader.line_num, str(exc))
                     continue
+                for key, lines in zip(keys, first_lines):
+                    value = tuple(row[name] for name in key)
+                    first = lines.setdefault(value, reader.line_num)
+                    if first != reader.line_num:
+                        raise DataValidationError(
+                            f"{path}:{reader.line_num}: "
+                            + ", ".join(f"{name} {v!r}"
+                                        for name, v in zip(key, value))
+                            + f" is also on line {first}")
                 yield reader.line_num, row
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataValidationError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -33,11 +33,6 @@ from .model import COVARIATE_NAMES, ClusterPair, Quadruple
 QUADRUPLES_COLUMNS = dict.fromkeys(["treated_early_id", "treated_late_id",
                                     "control_early_id", "control_late_id"],
                                    str)
-BALANCE_COLUMNS = [
-    "covariate", "period", "treated_mean_before", "control_mean_before",
-    "treated_mean_after", "control_mean_after", "stddiff_before",
-    "stddiff_after",
-]
 
 # slack applied to every constraint comparison so boundary-tight LP
 # solutions are not rejected by the last float ulp
@@ -81,11 +76,12 @@ class BalanceRow:
     stddiff_after: float
 
 
+BALANCE_COLUMNS = [f.name for f in fields(BalanceRow)]
+
+
 @dataclass(frozen=True)
 class BalanceReport:
     rows: Tuple[BalanceRow, ...]
-    n_treated_before: int
-    n_control_before: int
     n_matched: int
 
     def is_balanced(self, threshold: float) -> bool:
@@ -153,8 +149,7 @@ def _max_balanced_selection(
 def _mahalanobis_cost(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     pooled = np.vstack([u, v])
     cov = np.cov(pooled, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov) + 1e-8 * np.eye(pooled.shape[1])
-    cov_inv = np.linalg.inv(cov)
+    cov_inv = np.linalg.inv(cov + 1e-8 * np.eye(pooled.shape[1]))
     diff = u[:, None, :] - v[None, :, :]
     return np.sqrt(np.maximum(
         np.einsum("ijk,kl,ijl->ij", diff, cov_inv, diff), 0.0))
@@ -205,7 +200,7 @@ def _report(
             treated_mean_after=mt, control_mean_after=mc,
             stddiff_before=before, stddiff_after=after,
         ))
-    return BalanceReport(tuple(rows), len(x), len(y), len(sel_t))
+    return BalanceReport(tuple(rows), len(sel_t))
 
 
 def cardinality_match(
@@ -253,7 +248,8 @@ def write_quadruples_csv(quadruples: Sequence[Quadruple], path) -> None:
 
 def read_quadruples_csv(path, pairs_by_ids) -> List[Quadruple]:
     quadruples = []
-    for _, row in read_csv(path, QUADRUPLES_COLUMNS):
+    for _, row in read_csv(path, QUADRUPLES_COLUMNS,
+                           unique=["treated_early_id", "control_early_id"]):
         t_key = (row["treated_early_id"], row["treated_late_id"])
         c_key = (row["control_early_id"], row["control_late_id"])
         try:
@@ -268,9 +264,6 @@ def read_quadruples_csv(path, pairs_by_ids) -> List[Quadruple]:
 
 
 def write_balance_csv(report: BalanceReport, path) -> None:
-    write_csv(path, BALANCE_COLUMNS, ([
-        r.covariate, r.period,
-        fmt(r.treated_mean_before), fmt(r.control_mean_before),
-        fmt(r.treated_mean_after), fmt(r.control_mean_after),
-        fmt(r.stddiff_before), fmt(r.stddiff_after),
-    ] for r in report.rows))
+    write_csv(path, BALANCE_COLUMNS, (
+        [fmt(getattr(r, column)) for column in BALANCE_COLUMNS]
+        for r in report.rows))

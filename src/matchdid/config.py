@@ -20,7 +20,6 @@ Presets: primary (all defaults, M=500), sa1/sa2 (row filters), sa3/sa4
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
@@ -77,10 +76,6 @@ class RunConfig:
     scenario: ScenarioConfig = ScenarioConfig()
     sensitivity: SensitivitySettings = SensitivitySettings()
     inputs: InputPaths = InputPaths()
-
-    def snapshot(self) -> Dict:
-        d = dataclasses.asdict(self)
-        return d
 
 
 PRESETS: Dict[str, RunConfig] = {

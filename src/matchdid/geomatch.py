@@ -136,14 +136,10 @@ def rank_mahalanobis(
     n_early = len(early)
     ranks = np.column_stack([average_ranks(coords[:, j]) for j in range(2)])
     cov = np.cov(ranks, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    try:
-        cov_inv = np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        cov_inv = np.linalg.inv(cov + 1e-8 * np.eye(2))
-    else:
-        if not np.all(np.isfinite(cov_inv)) or np.linalg.cond(cov) > 1e12:
-            cov_inv = np.linalg.inv(cov + 1e-8 * np.eye(2))
+    # a singular covariance has an infinite condition number
+    if np.linalg.cond(cov) > 1e12:
+        cov = cov + 1e-8 * np.eye(2)
+    cov_inv = np.linalg.inv(cov)
 
     diff = ranks[:n_early, None, :] - ranks[None, n_early:, :]
     base = np.sqrt(np.maximum(np.einsum("ijk,kl,ijl->ij", diff, cov_inv, diff), 0.0))
@@ -155,7 +151,7 @@ def rank_mahalanobis(
 
     width = caliper.width
     if width is None:
-        width = 0.2 * float(np.std(propensity, ddof=1)) if len(propensity) > 1 else 0.0
+        width = 0.2 * float(np.std(propensity, ddof=1))
     penalty = caliper.penalty
     if penalty is None:
         penalty = 1000.0 * float(base.max())
@@ -353,7 +349,8 @@ def write_pairs_csv(pairs: Sequence[ClusterPair], path) -> None:
 
 def read_pairs_csv(path, clusters_by_id) -> List[ClusterPair]:
     pairs: List[ClusterPair] = []
-    for _, row in read_csv(path, PAIRS_COLUMNS):
+    for _, row in read_csv(path, PAIRS_COLUMNS,
+                           unique=["early_id", "late_id"]):
         try:
             early = clusters_by_id[row["early_id"]]
             late = clusters_by_id[row["late_id"]]

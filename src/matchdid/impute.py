@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -105,16 +105,11 @@ class ImputationModel:
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-10):
             raise DataValidationError("covariance must be symmetric")
 
-    def probability(self, X: np.ndarray, beta: Optional[np.ndarray] = None):
-        beta = self.coefficients if beta is None else beta
-        return _sigmoid(X @ beta)
-
 
 @dataclass(frozen=True)
 class ImputedSet:
     replicate: int                  # 1-based
     lbw: np.ndarray                 # completed outcome, aligned with records
-    substream_id: str
 
 
 def _sigmoid(eta):
@@ -260,10 +255,7 @@ def draw_imputations(
         if missing.any():
             p = _sigmoid(X[missing] @ beta_star)
             lbw[missing] = (u[missing] < p).astype(np.int8)
-        sets.append(ImputedSet(
-            replicate=replicate, lbw=lbw,
-            substream_id=f"({seed},impute,{replicate})",
-        ))
+        sets.append(ImputedSet(replicate=replicate, lbw=lbw))
     return sets
 
 
@@ -350,8 +342,7 @@ def read_imputations_csv(
             if fault is None:
                 lbw = observed.copy()
                 lbw[missing] = got[cells] == _ONE
-                sets.append(ImputedSet(replicate=rep, lbw=lbw,
-                                       substream_id="from-file"))
+                sets.append(ImputedSet(replicate=rep, lbw=lbw))
         if fault is None and fh.read(1):
             fault = fh.tell() - 1
     if fault is not None:

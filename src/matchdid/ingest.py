@@ -1,22 +1,26 @@
 """Input parsing and eligibility rules.
 
 Reads the three input tables (clusters, prevalence, births), selects each
-country's early/late study years, aggregates individual rows to cluster
-covariate means, and applies the record exclusions used before imputation.
+country's early/late study years, and applies the record exclusions used
+before imputation.
 
 The file contracts are the column tables below (UTF-8, comma separated,
 '.' decimal point, header row required; an empty cell means missing),
 one parser per column. A file that is empty, has another header, is not
-UTF-8 text or is not valid CSV is refused, and so is a cluster_id given
-twice in clusters.csv (``DataValidationError``, exit code 2). A row with
-a cell that fails to parse or with another cell count than the header is
-skipped with a warning naming its physical line.
+UTF-8 text or is not valid CSV is refused (``DataValidationError``, exit
+code 2). So is a row that repeats the key of a row that parsed, in this
+and every other keyed CSV: a cluster_id in clusters.csv, a
+(cluster_id, year) in prevalence.csv. So is a cluster with a survey or
+prevalence year before 1998. A row with a cell that fails to parse or
+with another cell count than the header is skipped with a warning naming
+its physical line.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ._util import fmt, optional, read_csv, write_csv
 from .errors import DataValidationError
@@ -33,6 +37,16 @@ from .model import (
 EARLY_WINDOW = (2000, 2007)
 LATE_WINDOW = (2008, 2015)
 FALLBACK_EARLY_YEARS = (1999, 1998)
+FIRST_YEAR = 1998       # no survey or prevalence year may precede it
+
+
+def _rate(text: str) -> float:
+    """Parser of a pfpr cell: a rate in [0, 1]."""
+    rate = float(text)
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{rate} outside [0, 1]")
+    return rate
+
 
 CLUSTER_COLUMNS = {
     "cluster_id": str, "country": str, "survey_year": int, "role": Role,
@@ -40,7 +54,7 @@ CLUSTER_COLUMNS = {
     **dict.fromkeys(["urban", "electricity", "floor", "toilet",
                      "mother_education", "contraception"], optional(float)),
 }
-PREVALENCE_COLUMNS = {"cluster_id": str, "year": int, "pfpr": float}
+PREVALENCE_COLUMNS = {"cluster_id": str, "year": int, "pfpr": _rate}
 # the names of BirthRecord's fields
 BIRTH_COLUMNS = {
     "child_id": str, "cluster_id": str,
@@ -53,25 +67,6 @@ BIRTH_COLUMNS = {
 
 
 @dataclass(frozen=True)
-class CountryAvailability:
-    """Years with a usable survey (incl. GPS) and years with prevalence
-    estimates, for one country."""
-
-    dhs_years: frozenset
-    prevalence_years: frozenset
-
-    def __post_init__(self):
-        bad = [y for y in self.dhs_years | self.prevalence_years if y < 1998]
-        if bad:
-            raise DataValidationError(f"availability years before 1998: {sorted(bad)}")
-
-
-@dataclass(frozen=True)
-class AvailabilityTable:
-    countries: Mapping[str, CountryAvailability]
-
-
-@dataclass(frozen=True)
 class StudySelection:
     early_year: int
     late_year: int
@@ -80,27 +75,35 @@ class StudySelection:
 
 
 def select_study_years(
-    avail: AvailabilityTable,
+    clusters: Iterable[ClusterRecord],
 ) -> Dict[str, Optional[StudySelection]]:
     """Pick each country's study years, or None when it is excluded.
 
-    The earliest survey in 2000-2007 and the latest in 2008-2015 are chosen
-    (1999, possibly coded 1998, substitutes for a missing early survey and
-    borrows the 2000 prevalence estimate). A country must also have
-    prevalence estimates for both selected prevalence years.
+    A country's surveys are its clusters' survey years. The earliest
+    survey in 2000-2007 and the latest in 2008-2015 are chosen (1999,
+    possibly coded 1998, substitutes for a missing early survey and borrows
+    the 2000 prevalence estimate). A country must also have prevalence
+    estimates, in its clusters' trajectories, for both selected prevalence
+    years.
     """
+    dhs_years: Dict[str, set] = defaultdict(set)
+    prevalence_years: Dict[str, set] = defaultdict(set)
+    for c in clusters:
+        dhs_years[c.country].add(c.survey_year)
+        prevalence_years[c.country].update(c.pfpr_by_year)
     out: Dict[str, Optional[StudySelection]] = {}
-    for country, ca in avail.countries.items():
+    for country in sorted(dhs_years):
+        surveys = dhs_years[country]
         early_candidates = sorted(
-            y for y in ca.dhs_years if EARLY_WINDOW[0] <= y <= EARLY_WINDOW[1]
+            y for y in surveys if EARLY_WINDOW[0] <= y <= EARLY_WINDOW[1]
         )
         late_candidates = sorted(
-            y for y in ca.dhs_years if LATE_WINDOW[0] <= y <= LATE_WINDOW[1]
+            y for y in surveys if LATE_WINDOW[0] <= y <= LATE_WINDOW[1]
         )
         early: Optional[int] = early_candidates[0] if early_candidates else None
         if early is None:
             for fallback in FALLBACK_EARLY_YEARS:
-                if fallback in ca.dhs_years:
+                if fallback in surveys:
                     early = fallback
                     break
         late = late_candidates[-1] if late_candidates else None
@@ -110,25 +113,11 @@ def select_study_years(
             continue
         prev_early = prevalence_year_for(early)
         prev_late = prevalence_year_for(late)
-        if prev_early not in ca.prevalence_years or prev_late not in ca.prevalence_years:
+        if not {prev_early, prev_late} <= prevalence_years[country]:
             out[country] = None
             continue
         out[country] = StudySelection(early, late, prev_early, prev_late)
     return out
-
-
-def aggregate_cluster_covariates(
-    rows: Sequence[Mapping[str, Optional[float]]],
-) -> Dict[str, Optional[float]]:
-    """Average the six covariates over individual rows, leaving out all
-    missing values. A covariate missing in every row comes back as None."""
-    if not rows:
-        raise DataValidationError("cannot aggregate an empty cluster")
-    means: Dict[str, Optional[float]] = {}
-    for name in COVARIATE_NAMES:
-        values = [r[name] for r in rows if r.get(name) is not None]
-        means[name] = sum(values) / len(values) if values else None
-    return means
 
 
 @dataclass
@@ -170,25 +159,16 @@ def _skipper(path, kind: str, warnings: List[str]):
 def read_prevalence(path) -> Tuple[Dict[str, Dict[int, float]], List[str]]:
     """Long-format prevalence table -> {cluster_id: {year: pfpr}}.
 
-    A row that does not parse is reported and skipped. A second valid row
-    for the same (cluster_id, year) raises ``DataValidationError``: either
-    value could be the right one.
+    A row that does not parse, a pfpr outside [0, 1] included, is reported
+    and skipped. A second row that parses for the same (cluster_id, year)
+    raises ``DataValidationError``: either value could be the right one.
     """
     table: Dict[str, Dict[int, float]] = {}
-    first_line: Dict[Tuple[str, int], int] = {}
     warnings: List[str] = []
-    skip = _skipper(path, "prevalence", warnings)
-    for lineno, row in read_csv(path, PREVALENCE_COLUMNS, skip):
-        cluster_id, year, pfpr = row["cluster_id"], row["year"], row["pfpr"]
-        if not 0.0 <= pfpr <= 1.0:
-            skip(lineno, f"pfpr {pfpr} outside [0, 1]")
-            continue
-        first = first_line.setdefault((cluster_id, year), lineno)
-        if first != lineno:
-            raise DataValidationError(
-                f"{path}:{lineno}: prevalence of cluster_id "
-                f"{cluster_id!r} in {year} is also on line {first}")
-        table.setdefault(cluster_id, {})[year] = pfpr
+    for _, row in read_csv(path, PREVALENCE_COLUMNS,
+                           _skipper(path, "prevalence", warnings),
+                           unique=[("cluster_id", "year")]):
+        table.setdefault(row["cluster_id"], {})[row["year"]] = row["pfpr"]
     return table, warnings
 
 
@@ -201,18 +181,14 @@ def read_clusters(
     cluster whose trajectory lacks its own prevalence year is kept but
     flagged, since downstream classification will need that year. A
     cluster_id given twice on rows that parse raises
-    ``DataValidationError``: pairs and quadruples name clusters by id.
+    ``DataValidationError``: pairs and quadruples name clusters by id. So
+    does a kept cluster with a survey or prevalence year before 1998.
     """
     prevalence, warnings = read_prevalence(prevalence_path)
     skip = _skipper(clusters_path, "cluster", warnings)
     clusters: List[ClusterRecord] = []
-    first_line: Dict[str, int] = {}
-    for lineno, row in read_csv(clusters_path, CLUSTER_COLUMNS, skip):
-        first = first_line.setdefault(row["cluster_id"], lineno)
-        if first != lineno:
-            raise DataValidationError(
-                f"{clusters_path}:{lineno}: cluster_id {row['cluster_id']!r} "
-                f"is also on line {first}")
+    for lineno, row in read_csv(clusters_path, CLUSTER_COLUMNS, skip,
+                                unique=["cluster_id"]):
         try:
             record = ClusterRecord(
                 cluster_id=row["cluster_id"],
@@ -226,6 +202,12 @@ def read_clusters(
         except DataValidationError as exc:
             skip(lineno, exc)
             continue
+        early = sorted(y for y in (record.survey_year, *record.pfpr_by_year)
+                       if y < FIRST_YEAR)
+        if early:
+            raise DataValidationError(
+                f"{clusters_path}:{lineno}: cluster {record.cluster_id!r} "
+                f"has years before {FIRST_YEAR}: {early}")
         if record.prevalence_year not in record.pfpr_by_year:
             warnings.append(
                 f"{clusters_path}:{lineno}: cluster {record.cluster_id} has no "

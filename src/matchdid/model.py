@@ -1,7 +1,7 @@
 """Domain types shared by every pipeline stage.
 
-Clusters, births, pairs, quadruples, analysis settings, and sensitivity
-parameters are all immutable after construction.
+Clusters, births, pairs, quadruples and analysis settings are all
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -116,10 +116,6 @@ class ClusterRecord:
                 raise DataValidationError(
                     f"cluster {self.cluster_id}: pfpr {rate} in {year} outside [0, 1]"
                 )
-
-    @property
-    def urban(self) -> Optional[float]:
-        return self.covariates["urban"]
 
     @property
     def prevalence_year(self) -> int:
@@ -245,10 +241,6 @@ class Quadruple:
         if self.control.category is not PairCategory.HIGH_HIGH:
             raise DataValidationError("control pair must be categorized high-high")
 
-    def clusters(self) -> Tuple[ClusterRecord, ...]:
-        return (self.treated.early, self.treated.late,
-                self.control.early, self.control.late)
-
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -298,23 +290,12 @@ class ModelSpec:
             raise DataValidationError("gap and balance threshold must be positive")
 
 
-@dataclass(frozen=True)
-class SensitivityParams:
-    """Percentage-point shifts tying the hypothetical unobserved covariate
-    to the low-prevalence indicator (p1) and to the outcome (p2). The
-    coefficient lam of the unobserved covariate is estimated, never set."""
-
-    p1: float
-    p2: float
-    lam: Optional[float] = None
-
-    def __post_init__(self):
-        validate_u_probabilities(self.p1, self.p2)
-
-
 def validate_u_probabilities(p1: float, p2: float) -> None:
-    """Every attainable P(U=1) = 0.5 + a/100 + b/100 with a in {0, p1},
-    b in {0, p2} must be a probability."""
+    """The percentage-point shifts p1 and p2 tie the hypothetical
+    unobserved covariate U to the low-prevalence indicator and to the
+    outcome (its coefficient lam is estimated, never set). Every attainable
+    P(U=1) = 0.5 + a/100 + b/100 with a in {0, p1}, b in {0, p2} must be a
+    probability."""
     for a in (0.0, p1):
         for b in (0.0, p2):
             prob = 0.5 + (a + b) / 100.0

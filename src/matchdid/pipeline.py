@@ -14,7 +14,7 @@ because later stages rewrite them.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from dataclasses import asdict
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -45,8 +45,6 @@ from .infer import (
     write_results_csv,
 )
 from .ingest import (
-    AvailabilityTable,
-    CountryAvailability,
     StudySelection,
     filter_births,
     read_births,
@@ -148,7 +146,7 @@ class Workspace:
             "stage": stage,
             "seed": seed,
             "preset": self.cfg.preset,
-            "config": self.cfg.snapshot(),
+            "config": asdict(self.cfg),
             "inputs": {p.name: sha256_file(p) for p in map(self.path, inputs)},
             "outputs": {n: sha256_file(self.out / n) for n in outputs},
         }
@@ -168,24 +166,9 @@ def stage_simulate(ws: Workspace, seed: int) -> Dict:
     return truth
 
 
-def _availability(clusters) -> AvailabilityTable:
-    dhs: Dict[str, set] = defaultdict(set)
-    prevalence: Dict[str, set] = defaultdict(set)
-    for c in clusters:
-        dhs[c.country].add(c.survey_year)
-        prevalence[c.country].update(c.pfpr_by_year.keys())
-    return AvailabilityTable(countries={
-        country: CountryAvailability(
-            dhs_years=frozenset(dhs[country]),
-            prevalence_years=frozenset(prevalence[country]),
-        )
-        for country in sorted(dhs)
-    })
-
-
 def stage_ingest(ws: Workspace, seed: int) -> Dict:
     clusters, births, warnings = ws.tables
-    selections = select_study_years(_availability(clusters))
+    selections = select_study_years(clusters)
     filtered, counts = filter_births(births)
 
     write_csv(ws.out / "study_years.csv", STUDY_YEARS_COLUMNS, (
@@ -216,7 +199,7 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
 
 def _read_study_years(path: Path) -> Dict[str, Optional[StudySelection]]:
     selections: Dict[str, Optional[StudySelection]] = {}
-    for line, row in read_csv(path, STUDY_YEARS_COLUMNS):
+    for line, row in read_csv(path, STUDY_YEARS_COLUMNS, unique=["country"]):
         country, included = row.pop("country"), row.pop("included")
         empty = [name for name, year in row.items() if year is None]
         if included and empty:

@@ -5,22 +5,13 @@ and late prevalence years, reported per pair category."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Sequence
 
 import numpy as np
 
 from ._util import fmt, write_csv
 from .model import ClusterPair, PairCategory
-
-MATCH_DIAGNOSTICS_COLUMNS = [
-    "category", "n_pairs", "mean_haversine_km",
-    "corr_longitude", "corr_latitude",
-    "early_mean_longitude", "early_mean_latitude",
-    "early_mean_pfpr_early", "early_mean_pfpr_late",
-    "late_mean_longitude", "late_mean_latitude",
-    "late_mean_pfpr_early", "late_mean_pfpr_late",
-]
 
 
 @dataclass(frozen=True)
@@ -38,6 +29,9 @@ class MatchDiagnostics:
     late_mean_latitude: float
     late_mean_pfpr_early: float
     late_mean_pfpr_late: float
+
+
+MATCH_DIAGNOSTICS_COLUMNS = [f.name for f in fields(MatchDiagnostics)]
 
 
 def _corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -95,5 +89,5 @@ def match_diagnostics(
 
 def write_match_diagnostics_csv(rows: Sequence[MatchDiagnostics], path) -> None:
     write_csv(path, MATCH_DIAGNOSTICS_COLUMNS, (
-        [r.category, *(fmt(getattr(r, c)) for c in MATCH_DIAGNOSTICS_COLUMNS[1:])]
+        [fmt(getattr(r, column)) for column in MATCH_DIAGNOSTICS_COLUMNS]
         for r in rows))

@@ -269,7 +269,7 @@ def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
     coeff_dict = _jsonable(asdict(coeffs))
     truth = {
         "seed": seed,
-        "config": _config_dict(cfg),
+        "config": _jsonable(asdict(cfg)),
         "coefficients": coeff_dict,
         "clip_bounds": list(CLIP_BOUNDS),
         "outcome_noise": "bernoulli",
@@ -287,10 +287,6 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-def _config_dict(cfg: ScenarioConfig) -> Dict:
-    return _jsonable(asdict(cfg))
 
 
 def _gen_births(

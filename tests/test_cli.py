@@ -368,16 +368,40 @@ class TestRefusedArtifacts:
         assert ("births.csv: not readable as UTF-8 CSV (field larger than "
                 "field limit") in capsys.readouterr().err
 
-    def test_repeated_prevalence_row(self, workdir, finished, tmp_path,
-                                     capsys):
-        def repeat_first_row(data):
-            first = data.split(b"\r\n")[1]
-            return data + first.rsplit(b",", 1)[0] + b",0.99\r\n"
-        code = self._run_on_copy(workdir, finished, tmp_path, "ingest",
-                                 "prevalence.csv", repeat_first_row)
+    @pytest.mark.parametrize("name, command, new_row, reason", [
+        pytest.param("prevalence.csv", "ingest",
+                     lambda rows: rows[1][:2] + ["0.99"],
+                     "cluster_id '{0}', year {1} is also on line 2",
+                     id="prevalence-repeat"),
+        pytest.param("pairs.csv", "match-card", lambda rows: rows[1],
+                     "early_id '{1}' is also on line 2", id="pairs-repeat"),
+        pytest.param("study_years.csv", "match-geo",
+                     lambda rows: rows[1][:1] + ["", "", "", "", "0"],
+                     "country '{0}' is also on line 2",
+                     id="study-years-repeat"),
+        pytest.param("quadruples.csv", "fit",
+                     lambda rows: rows[1][:2] + rows[2][2:],
+                     "treated_early_id '{0}' is also on line 2",
+                     id="quadruples-treated-repeat"),
+        pytest.param("clusters.csv", "ingest",
+                     lambda rows: ["NEW", rows[1][1], "1990", *rows[1][3:]],
+                     "cluster 'NEW' has years before 1998: [1990]",
+                     id="clusters-1990-survey"),
+    ])
+    def test_refused_row(self, workdir, finished, tmp_path, capsys, name,
+                         command, new_row, reason):
+        """One row appended to the file: a repeated key, or a survey year
+        before 1998. The message names the new row's line; ``reason`` is
+        formatted with the cells of the first row."""
+        with open(finished / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        code = self._run_on_copy(
+            workdir, finished, tmp_path, command, name,
+            lambda data: data + ",".join(new_row(rows)).encode() + b"\r\n")
         assert code == 2
-        err = capsys.readouterr().err
-        assert "prevalence.csv:" in err and "is also on line 2" in err
+        assert capsys.readouterr().err == (
+            f"error (data): {tmp_path / 'run' / name}:{len(rows) + 1}: "
+            f"{reason.format(*rows[1])}\n")
 
     @pytest.mark.parametrize("name, command", [
         ("study_years.csv", "match-geo"),

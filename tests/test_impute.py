@@ -214,7 +214,7 @@ def imputed_files(draw):
     for rep in range(1, m + 1):
         lbw = [draw(st.sampled_from([0, 1])) if v is None else v
                for v in observed]
-        sets.append(ImputedSet(replicate=rep, substream_id="drawn",
+        sets.append(ImputedSet(replicate=rep,
                                lbw=np.array(lbw, dtype=np.int8)))
     return records, sets
 
@@ -237,15 +237,13 @@ class TestImputationsCsv:
 
     def test_writer_refuses_outcomes_other_than_0_or_1(self, tmp_path):
         records = [make_birth(child_id="a", lbw=None)]
-        sets = [ImputedSet(replicate=1, lbw=np.array([2], dtype=np.int8),
-                           substream_id="drawn")]
+        sets = [ImputedSet(replicate=1, lbw=np.array([2], dtype=np.int8))]
         with pytest.raises(DataValidationError, match="other than 0 or 1"):
             write_imputations_csv(records, sets, tmp_path / "i.csv")
 
     def test_bytes_that_are_not_utf8_are_refused(self, tmp_path):
         records = [make_birth(child_id="a", lbw=None)]
-        sets = [ImputedSet(replicate=1, lbw=np.array([1], dtype=np.int8),
-                           substream_id="drawn")]
+        sets = [ImputedSet(replicate=1, lbw=np.array([1], dtype=np.int8))]
         path = tmp_path / "i.csv"
         write_imputations_csv(records, sets, path)
         path.write_bytes(path.read_bytes().replace(b"1,a,", b"1,\xff,"))

@@ -6,10 +6,7 @@ import pytest
 
 from matchdid.errors import DataValidationError
 from matchdid.ingest import (
-    AvailabilityTable,
-    CountryAvailability,
     StudySelection,
-    aggregate_cluster_covariates,
     filter_births,
     read_births,
     read_clusters,
@@ -18,21 +15,25 @@ from matchdid.ingest import (
     write_clusters_csv,
     write_prevalence_csv,
 )
-from matchdid.model import COVARIATE_NAMES, COVARIATE_RANGES, BirthSize
+from matchdid.model import BirthSize
 from matchdid.synth import ScenarioConfig, generate
 
-from conftest import make_birth
+from conftest import make_birth, make_cluster
 
 
 def avail(dhs, prevalence=None):
+    """One country's clusters: one per survey year in ``dhs``, each with a
+    prevalence estimate in every year of ``prevalence``."""
     if prevalence is None:
         prevalence = set(range(2000, 2016))
-    return CountryAvailability(dhs_years=frozenset(dhs),
-                               prevalence_years=frozenset(prevalence))
+    return [(year, {p: 0.5 for p in prevalence}) for year in dhs]
 
 
 def table(**countries):
-    return AvailabilityTable(countries=countries)
+    return [make_cluster(cluster_id=f"{country}-{year}", country=country,
+                         survey_year=year, pfpr=pfpr)
+            for country, surveys in countries.items()
+            for year, pfpr in surveys]
 
 
 class TestSelectStudyYears:
@@ -82,50 +83,6 @@ class TestSelectStudyYears:
             extra = int(rng.choice([2016, 2017, 2020, 2024]))
             augmented = select_study_years(table(A=avail(years | {extra})))
             assert base == augmented
-
-
-class TestAggregate:
-    def test_mean_over_nonmissing(self):
-        rows = [
-            {n: None for n in COVARIATE_NAMES} | {"mother_education": 0.0},
-            {n: None for n in COVARIATE_NAMES} | {"mother_education": 2.0},
-            {n: None for n in COVARIATE_NAMES},
-        ]
-        out = aggregate_cluster_covariates(rows)
-        assert out["mother_education"] == 1.0
-
-    def test_all_missing_is_undefined(self):
-        rows = [{n: 0.5 if n != "toilet" else None for n in COVARIATE_NAMES}
-                for _ in range(3)]
-        rows = [{**r, "floor": 2.0, "mother_education": 1.0} for r in rows]
-        out = aggregate_cluster_covariates(rows)
-        assert out["toilet"] is None
-
-    def test_single_row_identity(self):
-        row = {"electricity": 1.0, "floor": 3.0, "toilet": 0.0, "urban": 1.0,
-               "mother_education": 2.0, "contraception": 0.0}
-        assert aggregate_cluster_covariates([row]) == row
-
-    def test_empty_cluster_errors(self):
-        with pytest.raises(DataValidationError):
-            aggregate_cluster_covariates([])
-
-    def test_means_within_coded_ranges(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            rows = []
-            for _ in range(rng.integers(1, 12)):
-                row = {}
-                for name in COVARIATE_NAMES:
-                    lo, hi = COVARIATE_RANGES[name]
-                    row[name] = (None if rng.random() < 0.2
-                                 else float(rng.uniform(lo, hi)))
-                rows.append(row)
-            out = aggregate_cluster_covariates(rows)
-            for name, value in out.items():
-                if value is not None:
-                    lo, hi = COVARIATE_RANGES[name]
-                    assert lo <= value <= hi
 
 
 class TestFilterBirths:
@@ -258,8 +215,23 @@ class TestCsvRoundTrip:
         with pytest.raises(DataValidationError) as err:
             read_clusters(tmp_path / "clusters.csv",
                           tmp_path / "prevalence.csv")
-        assert (f"prevalence.csv:{len(lines)}: prevalence of cluster_id "
-                f"{cluster_id!r} in {year} is also on line 2") in str(err.value)
+        assert (f"prevalence.csv:{len(lines)}: cluster_id {cluster_id!r}, "
+                f"year {year} is also on line 2") in str(err.value)
+
+    def test_rate_outside_0_1_is_skipped_before_the_repeat_check(
+            self, tmp_path, data):
+        write_clusters_csv(data.clusters, tmp_path / "clusters.csv")
+        write_prevalence_csv(data.clusters, tmp_path / "prevalence.csv")
+        lines = (tmp_path / "prevalence.csv").read_text().splitlines()
+        cluster_id, year, _ = lines[1].split(",")
+        lines.append(f"{cluster_id},{year},1.5")
+        (tmp_path / "prevalence.csv").write_text("\r\n".join(lines) + "\r\n")
+        back, warnings = read_clusters(tmp_path / "clusters.csv",
+                                       tmp_path / "prevalence.csv")
+        assert back == data.clusters
+        assert warnings == [f"{tmp_path / 'prevalence.csv'}:{len(lines)}: "
+                            "skipped prevalence row: column 'pfpr': 1.5 "
+                            "outside [0, 1]"]
 
     def test_wrong_header_rejected(self, tmp_path):
         (tmp_path / "births.csv").write_text("a,b,c\n1,2,3\n")

@@ -8,8 +8,8 @@ from matchdid.model import (
     PairCategory,
     Quadruple,
     Role,
-    SensitivityParams,
     prevalence_year_for,
+    validate_u_probabilities,
 )
 
 from conftest import make_birth, make_cluster
@@ -117,9 +117,11 @@ class TestModelSpec:
 
 
 class TestSensitivityParams:
+    """validate_u_probabilities on the sensitivity parameters (p1, p2)."""
+
     def test_valid(self):
-        SensitivityParams(p1=10.0, p2=-10.0)
-        SensitivityParams(p1=0.0, p2=0.0)
+        validate_u_probabilities(p1=10.0, p2=-10.0)
+        validate_u_probabilities(p1=0.0, p2=0.0)
 
     @pytest.mark.parametrize("p1,p2", [
         (30.0, 30.0),      # joint probability 1.1
@@ -129,4 +131,4 @@ class TestSensitivityParams:
     ])
     def test_invalid(self, p1, p2):
         with pytest.raises(DataValidationError):
-            SensitivityParams(p1=p1, p2=p2)
+            validate_u_probabilities(p1=p1, p2=p2)
