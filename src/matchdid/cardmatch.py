@@ -248,8 +248,8 @@ def write_quadruples_csv(quadruples: Sequence[Quadruple], path) -> None:
 
 def read_quadruples_csv(path, pairs_by_ids) -> List[Quadruple]:
     quadruples = []
-    for _, row in read_csv(path, QUADRUPLES_COLUMNS,
-                           unique=["treated_early_id", "control_early_id"]):
+    for line, row in read_csv(path, QUADRUPLES_COLUMNS,
+                              unique=["treated_early_id", "control_early_id"]):
         t_key = (row["treated_early_id"], row["treated_late_id"])
         c_key = (row["control_early_id"], row["control_late_id"])
         try:
@@ -258,7 +258,7 @@ def read_quadruples_csv(path, pairs_by_ids) -> List[Quadruple]:
             ))
         except KeyError as exc:
             raise DataValidationError(
-                f"{path}: quadruple references unknown pair {exc}"
+                f"{path}:{line}: quadruple references unknown pair {exc}"
             ) from None
     return quadruples
 

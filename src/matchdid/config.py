@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ._util import optional
-from .errors import ConfigError
+from .errors import ConfigError, DataValidationError
 from .geomatch import CaliperSpec
 from .model import ModelSpec
 from .synth import DEFAULT_COEFFICIENTS, ScenarioConfig
@@ -135,15 +135,13 @@ def load_config(path: Optional[str] = None, preset: str = "primary") -> RunConfi
         return cfg
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-
     try:
-        cfg = _apply_overrides(cfg, parser)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad config value in {path}: {exc}") from exc
-    return cfg
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        return _apply_overrides(cfg, parser)
+    except (configparser.Error, DataValidationError, ValueError,
+            TypeError) as exc:
+        raise ConfigError(f"bad config in {path}: {exc}") from exc
 
 
 # the keys of each section and the parser of each key's value; a section

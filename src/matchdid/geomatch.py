@@ -349,14 +349,14 @@ def write_pairs_csv(pairs: Sequence[ClusterPair], path) -> None:
 
 def read_pairs_csv(path, clusters_by_id) -> List[ClusterPair]:
     pairs: List[ClusterPair] = []
-    for _, row in read_csv(path, PAIRS_COLUMNS,
-                           unique=["early_id", "late_id"]):
+    for line, row in read_csv(path, PAIRS_COLUMNS,
+                              unique=["early_id", "late_id"]):
         try:
             early = clusters_by_id[row["early_id"]]
             late = clusters_by_id[row["late_id"]]
         except KeyError as exc:
             raise DataValidationError(
-                f"{path}: pair references unknown cluster {exc}"
+                f"{path}:{line}: pair references unknown cluster {exc}"
             ) from None
         pairs.append(ClusterPair(
             early=early, late=late, category=row["category"],

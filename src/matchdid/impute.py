@@ -20,7 +20,8 @@ import numpy as np
 
 from ._util import substream
 from .errors import ConvergenceError, DataValidationError
-from .model import BirthRecord, BirthSize
+from .model import (COVARIATE_REGRESSORS, BirthRecord, BirthSize,
+                    covariate_row)
 
 # Fixed design column order of the imputation model.
 IMPUTATION_COLUMNS: Tuple[str, ...] = (
@@ -39,30 +40,14 @@ IMPUTATION_COLUMNS: Tuple[str, ...] = (
     "size_large",
 )
 
+# covariate_row's columns with the intercept and the size indicators, and
+# the position in them of each column of IMPUTATION_COLUMNS
+_ROW_COLUMNS = ("intercept",) + COVARIATE_REGRESSORS + ("size_small",
+                                                        "size_large")
+_ORDER = [_ROW_COLUMNS.index(name) for name in IMPUTATION_COLUMNS]
+
 MAX_NEWTON_ITER = 100
 GRAD_TOL = 1e-8
-# the outcome cells a row of imputations.csv may hold
-_OUTCOME = {"0": 0, "1": 1}
-
-
-def imputation_row(r: BirthRecord) -> List[float]:
-    age = float(r.mother_age_years)
-    order = float(r.birth_order_code)
-    return [
-        1.0,
-        age,
-        age * age,
-        float(r.wealth_index),
-        order,
-        order * order,
-        float(r.urban),
-        float(r.mother_education),
-        float(r.child_is_boy),
-        float(r.married),
-        float(r.antenatal),
-        1.0 if r.reported_size is BirthSize.SMALL else 0.0,
-        1.0 if r.reported_size is BirthSize.LARGE else 0.0,
-    ]
 
 
 def design_matrix(records: Sequence[BirthRecord]) -> np.ndarray:
@@ -71,9 +56,13 @@ def design_matrix(records: Sequence[BirthRecord]) -> np.ndarray:
             "imputation design requires reported_size on every record "
             "(run filter_births first)"
         )
-    if not records:
-        return np.empty((0, len(IMPUTATION_COLUMNS)))
-    return np.array([imputation_row(r) for r in records], dtype=float)
+    small, large = BirthSize.SMALL, BirthSize.LARGE     # looked up once
+    rows = np.array([[1.0, *covariate_row(r), r.reported_size is small,
+                      r.reported_size is large] for r in records],
+                    dtype=float).reshape(len(records), len(_ROW_COLUMNS))
+    # np.take keeps the rows C-ordered (rows[:, _ORDER] is F-ordered), which
+    # fixes the summation order of the fit's matrix products
+    return np.take(rows, _ORDER, axis=1)
 
 
 def prior_scales(X: np.ndarray) -> np.ndarray:
@@ -269,6 +258,8 @@ def draw_imputations(
 # functions below handle a replicate block at a time.
 _HEADER = ("replicate", "child_id", "lbw")
 _ONE = ord("1")
+# the most bytes of a found row that a refusal shows
+_SHOWN = 200
 
 
 def _row_tails(records: Sequence[BirthRecord]) -> Tuple[np.ndarray, np.ndarray]:
@@ -316,11 +307,8 @@ def read_imputations_csv(
     """Read back what ``write_imputations_csv`` wrote for ``records`` and
     ``m`` replicates. The file must be byte for byte that layout, with only
     the outcome cells of records whose outcome is missing free to read 0 or
-    1. Anything else raises ``DataValidationError`` naming the first faulty
-    line: an outcome other than 0/1, a changed observed outcome, a repeated
-    (replicate, child_id) row, replicate numbers other than 1..m, a record
-    left out, or rows that are complete but not in the writer's layout
-    (reordered, other line ends)."""
+    1. Anything else raises ``DataValidationError`` naming the physical
+    line of the first byte that departs, as expected and as found."""
     tail0, tail1 = _row_tails(records)
     observed = np.array([-1 if r.lbw is None else r.lbw for r in records],
                         dtype=np.int8)
@@ -328,83 +316,56 @@ def read_imputations_csv(
     # the rows as written, with the observed outcomes and 0 where missing
     rows = [t.encode() for t in np.where(observed == 1, tail1, tail0)]
     row_ends = np.cumsum([len(t) for t in rows], dtype=np.int64)
-    header = ",".join(_HEADER).encode() + b"\r\n"
     sets = []
     with open(path, "rb") as fh:
-        fault = _compare(fh, header, missing[:0])[1]
+        _compare(fh, path, ",".join(_HEADER).encode() + b"\r\n", missing[:0])
         for rep in range(1, m + 1):
-            if fault is not None:
-                break
             prefix = f"{rep},".encode()
             # offsets of the missing records' outcome cells in the block
             cells = len(prefix) * (missing + 1) + row_ends[missing] - 3
-            got, fault = _compare(fh, _block(prefix, rows), cells)
-            if fault is None:
-                lbw = observed.copy()
-                lbw[missing] = got[cells] == _ONE
-                sets.append(ImputedSet(replicate=rep, lbw=lbw))
-        if fault is None and fh.read(1):
-            fault = fh.tell() - 1
-    if fault is not None:
-        _refuse(records, path, m, fault)
+            got = _compare(fh, path, _block(prefix, rows), cells)
+            lbw = observed.copy()
+            lbw[missing] = got[cells] == _ONE
+            sets.append(ImputedSet(replicate=rep, lbw=lbw))
+        if fh.read(1):
+            _refuse(path, fh.tell() - 1, b"", fh.tell() - 1, missing[:0])
     return sets
 
 
-def _compare(fh, expected: bytes, cells: np.ndarray):
-    """Read ``len(expected)`` bytes and compare them with ``expected``,
-    where the bytes at offsets ``cells`` may also read 1. Returns the bytes
-    read as uint8 and None, or the file offset of the first byte that
-    departs (or of the end of a short read)."""
+def _compare(fh, path, expected: bytes, cells: np.ndarray) -> np.ndarray:
+    """Read ``len(expected)`` bytes and return them as uint8 if they are
+    ``expected``, where the bytes at offsets ``cells`` may also read 1.
+    Otherwise refuse the file at the first byte that departs, or at the end
+    of a short read."""
     start = fh.tell()
     got = np.frombuffer(fh.read(len(expected)), np.uint8)
     diff = got != np.frombuffer(expected, np.uint8)[:len(got)]
-    cells = cells[cells < len(got)]
-    diff[cells] &= got[cells] != _ONE
-    if diff.any():
-        return got, start + int(diff.argmax())
-    return got, None if len(got) == len(expected) else start + len(got)
+    inside = cells[cells < len(got)]
+    diff[inside] &= got[inside] != _ONE
+    if diff.any() or len(got) < len(expected):
+        _refuse(path, start + int(diff.argmax() if diff.any() else len(got)),
+                expected, start, cells)
+    return got
 
 
-def _refuse(records: Sequence[BirthRecord], path, m: int, offset: int):
-    """Refuse a file that departs from the writer's layout at byte
-    ``offset``. A row walk words the first fault it finds: a row that is
-    not a 0/1 outcome of a known (replicate, child_id), that changes an
-    observed outcome or repeats a row, or a replicate that misses a record.
-    A file with none of these is complete but not in the writer's layout."""
-    by_replicate = {str(rep): np.full(len(records), -1, dtype=np.int8)
-                    for rep in range(1, m + 1)}
-    index = {r.child_id: i for i, r in enumerate(records)}
-    observed = [r.lbw for r in records]
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        reader = csv.DictReader(fh)
-        if list(reader.fieldnames or []) != list(_HEADER):
-            raise DataValidationError(f"{path}: unexpected imputations.csv header")
-        for row in reader:
-            rep, child = row["replicate"], row["child_id"]
-            vec, i = by_replicate.get(rep), index.get(child)
-            value = _OUTCOME.get(row["lbw"])
-            if vec is None:
-                problem = f"replicate {rep!r} is not in 1..{m}"
-            elif i is None:
-                problem = f"imputation row for unknown child {child}"
-            elif value is None:
-                problem = f"outcome {row['lbw']!r} is not 0 or 1"
-            elif observed[i] not in (None, value):
-                problem = f"observed outcome of {child} changed"
-            elif vec[i] >= 0:
-                problem = f"duplicate row for replicate {rep}, child {child}"
-            else:
-                vec[i] = value
-                continue
-            raise DataValidationError(f"{path}, line {reader.line_num}: {problem}")
-    for rep, vec in by_replicate.items():
-        if (vec < 0).any():
-            raise DataValidationError(
-                f"{path}: replicate {rep} does not cover every record"
-            )
+def _refuse(path, offset: int, expected: bytes, start: int, cells):
+    """Refuse the file at byte ``offset``, the first to depart from
+    ``expected``, which the file should hold from byte ``start`` on (with 1
+    also valid at its offsets ``cells``), naming the offset's physical line
+    as expected and as found."""
     with open(path, "rb") as fh:
-        line = fh.read(offset).count(b"\n") + 1
+        data = fh.read()
+    begin = data.rfind(b"\n", 0, offset) + 1
+    line = data.count(b"\n", 0, begin) + 1
+    found = data[begin:data.find(b"\n", offset) + 1 or len(data)]
+    lo = begin - start
+    row = expected[lo:expected.find(b"\n", offset - start) + 1 or None]
+    want = _show(row)
+    for cell in cells[(cells >= lo) & (cells < lo + len(row))]:
+        want += " or " + _show(row[:cell - lo] + b"1" + row[cell - lo + 1:])
     raise DataValidationError(
-        f"{path}, line {line}: not the layout write_imputations_csv writes "
-        f"(header, then replicates 1..{m} each listing every record in "
-        f"order, CRLF line ends)")
+        f"{path}:{line}: expected {want}, found {_show(found[:_SHOWN])}")
+
+
+def _show(row: bytes) -> str:
+    return repr(row.decode(errors="replace")) if row else "the end of the file"

@@ -27,7 +27,8 @@ from scipy.special import stdtr, stdtrit
 
 from ._util import fmt, write_csv
 from .errors import ConvergenceError, DataValidationError
-from .model import BirthRecord, ModelSpec, PrevalenceLevel, Quadruple
+from .model import (COVARIATE_REGRESSORS, BirthRecord, ModelSpec,
+                    PrevalenceLevel, Quadruple, covariate_row)
 from .classify import prevalence_level
 
 _log = logging.getLogger(__name__)
@@ -37,25 +38,10 @@ _log = logging.getLogger(__name__)
 INDICATOR_REGRESSORS: Tuple[str, ...] = (
     "low_prevalence", "late_period", "treated_pair",
 )
-COVARIATE_REGRESSORS: Tuple[str, ...] = (
-    "mother_age", "mother_age_sq", "birth_order", "birth_order_sq",
-    "wealth_index", "urban", "mother_education", "child_is_boy",
-    "married", "antenatal",
-)
 REGRESSORS: Tuple[str, ...] = ("intercept",) + INDICATOR_REGRESSORS + COVARIATE_REGRESSORS
 
 RESULTS_COLUMNS = ["regressor", "estimate", "ci_low", "ci_high", "p_value"]
 DIAGNOSTICS_COLUMNS = ["regressor", "between_var", "within_var", "var_ratio"]
-
-
-def covariate_row(r: BirthRecord) -> List[float]:
-    age = float(r.mother_age_years)
-    order = float(r.birth_order_code)
-    return [
-        age, age * age, order, order * order, float(r.wealth_index),
-        float(r.urban), float(r.mother_education), float(r.child_is_boy),
-        float(r.married), float(r.antenatal),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +51,7 @@ def covariate_row(r: BirthRecord) -> List[float]:
 @dataclass(frozen=True)
 class InferenceDesign:
     """Everything fixed across imputation replicates: the design matrix,
-    cluster coding, cell masks, and the observed outcome.
+    cluster coding, and the observed outcome.
 
     ``regressors`` names the columns of X. Covariate columns that are
     constant over the kept records (e.g. birth order under a first-born
@@ -78,7 +64,6 @@ class InferenceDesign:
     cluster_codes: np.ndarray
     cluster_ids: Tuple[str, ...]
     observed_lbw: np.ndarray            # nan where missing
-    cell_masks: Mapping[str, np.ndarray]  # hl_early, hl_late, hh_early, hh_late
     regressors: Tuple[str, ...] = REGRESSORS
 
     @property
@@ -91,6 +76,15 @@ class InferenceDesign:
 
     def covariate_names(self) -> Tuple[str, ...]:
         return tuple(n for n in self.regressors if n in COVARIATE_REGRESSORS)
+
+    @property
+    def cell_masks(self) -> Dict[str, np.ndarray]:
+        """The rows of each design cell, read off the two indicator
+        columns: treated (hl) or control (hh) pairs, early or late period."""
+        late = self.X[:, self.regressors.index("late_period")] == 1.0
+        treated = self.X[:, self.regressors.index("treated_pair")] == 1.0
+        return {"hl_early": treated & ~late, "hl_late": treated & late,
+                "hh_early": ~treated & ~late, "hh_late": ~treated & late}
 
 
 def build_design(
@@ -120,17 +114,12 @@ def build_design(
     code_of = {cid: i for i, cid in enumerate(cluster_ids)}
 
     rows, codes, observed = [], [], []
-    masks = {name: [] for name in ("hl_early", "hl_late", "hh_early", "hh_late")}
     for r in kept:
         low, late, treated = flags[r.cluster_id]
         rows.append([1.0, float(low), float(late), float(treated)]
                     + covariate_row(r))
         codes.append(code_of[r.cluster_id])
         observed.append(float("nan") if r.lbw is None else float(r.lbw))
-        masks["hl_early"].append(treated == 1 and late == 0)
-        masks["hl_late"].append(treated == 1 and late == 1)
-        masks["hh_early"].append(treated == 0 and late == 0)
-        masks["hh_late"].append(treated == 0 and late == 1)
 
     X = np.array(rows, dtype=float)
     # covariates made constant by a row filter are aliased with the
@@ -144,7 +133,6 @@ def build_design(
         cluster_codes=np.array(codes, dtype=np.int64),
         cluster_ids=cluster_ids,
         observed_lbw=np.array(observed, dtype=float),
-        cell_masks={k: np.array(v, dtype=bool) for k, v in masks.items()},
         regressors=tuple(REGRESSORS[j] for j in keep_cols),
     )
 

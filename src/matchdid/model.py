@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from .errors import DataValidationError
 
@@ -190,6 +190,26 @@ class BirthRecord:
                 )
 
 
+# The birth-level regressors that the outcome model and the imputation
+# model adjust for, in the outcome model's column order; ``covariate_row``
+# computes them.
+COVARIATE_REGRESSORS: Tuple[str, ...] = (
+    "mother_age", "mother_age_sq", "birth_order", "birth_order_sq",
+    "wealth_index", "urban", "mother_education", "child_is_boy",
+    "married", "antenatal",
+)
+
+
+def covariate_row(r: BirthRecord) -> List[float]:
+    age = float(r.mother_age_years)
+    order = float(r.birth_order_code)
+    return [
+        age, age * age, order, order * order, float(r.wealth_index),
+        float(r.urban), float(r.mother_education), float(r.child_is_boy),
+        float(r.married), float(r.antenatal),
+    ]
+
+
 @dataclass(frozen=True)
 class ClusterPair:
     """A geographically matched early/late cluster pair within one country.
@@ -249,7 +269,7 @@ class Coefficients:
     Used to carry a generative truth: intercept k0, the low-prevalence,
     late-period, and treated-pair indicator coefficients k1..k3, the
     covariate coefficient vector beta (order given by
-    infer.COVARIATE_REGRESSORS), the cluster random-intercept sd sigma0,
+    COVARIATE_REGRESSORS above), the cluster random-intercept sd sigma0,
     and the residual sd sigma1.
     """
 

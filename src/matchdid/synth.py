@@ -13,6 +13,7 @@ the same (config, seed) always produces byte-identical files.
 from __future__ import annotations
 
 import bisect
+import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -266,27 +267,19 @@ def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
     _apply_missingness(cfg, seed, birth_fields)
     births = [BirthRecord(**fields) for fields in birth_fields]
 
-    coeff_dict = _jsonable(asdict(coeffs))
-    truth = {
+    # the record as truth.json holds it, tuples read back as lists
+    truth = json.loads(json.dumps({
         "seed": seed,
-        "config": _jsonable(asdict(cfg)),
-        "coefficients": coeff_dict,
-        "clip_bounds": list(CLIP_BOUNDS),
+        "config": asdict(cfg),
+        "coefficients": asdict(coeffs),
+        "clip_bounds": CLIP_BOUNDS,
         "outcome_noise": "bernoulli",
         "n_clusters": len(clusters),
         "n_births": len(births),
         "region_kind_counts": kind_counts,
         "clusters": cluster_truth,
-    }
+    }))
     return ScenarioData(clusters=clusters, births=births, truth=truth)
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
 
 
 def _gen_births(

@@ -107,6 +107,24 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", tmp_path / "absent.ini",
                        "--out-dir", tmp_path) == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        ("[model]\nimputations = 1\n", "imputations M must be >= 2"),
+        ("[model]\ncutoff_low = 0.5\n", "cutoffs must satisfy 0 <= low < high"),
+        ("[scenario]\nmissing_rate = 1.5\n", "missing_rate must be in [0, 1)"),
+        ("imputations = 3\n", "File contains no section headers"),
+        ("[model]\nimputations = 3\nimputations = 4\n",
+         "option 'imputations' in section 'model' already exists"),
+    ])
+    def test_refused_config_is_config_error(self, tmp_path, capsys, text,
+                                            reason):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("simulate", "--config", path,
+                       "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (config): bad config in {path}: ")
+        assert reason in err
+
     def test_fit_without_impute_is_data_error(self, workdir, tmp_path, capsys):
         _, cfg_path = workdir
         out = tmp_path / "partial"
@@ -272,53 +290,75 @@ class TestPipeline:
         assert victim not in quads   # still step-1 paired, never step-2
 
 
+# Each corruption below edits the rows of imputations.csv and returns the
+# index of the row on which the file first departs from the writer's bytes.
 def _outcomes_not_binary(rows, observed):
     rows[1][2] = "7"
+    return 1
 
 
 def _observed_outcome_changed(rows, observed):
-    row = next(r for r in rows[1:] if observed.get(r[1]))
-    row[2] = "1" if row[2] == "0" else "0"
+    i = next(i for i, r in enumerate(rows) if i and observed.get(r[1]))
+    rows[i][2] = "1" if rows[i][2] == "0" else "0"
+    return i
 
 
 def _duplicate_row(rows, observed):
     rows.append(list(rows[1]))
+    return len(rows) - 1
 
 
 def _replicates_doubled(rows, observed):
     for row in rows[1:]:
         row[0] = str(2 * int(row[0]))
+    return 1
 
 
 def _replicate_missing(rows, observed):
     rows[1:] = [r for r in rows[1:] if r[0] != "3"]
+    return next(i for i, r in enumerate(rows) if r[0] == "4")
 
 
 def _rows_reordered(rows, observed):
     rows[1], rows[2] = rows[2], rows[1]
+    return 1
 
 
 def _lf_line_ends(rows, observed):
-    return "\n"        # the line terminator to write the file with
+    return 0        # the header, once the file is written with LF ends
 
 
 def _final_row_cut_short(rows, observed):
     del rows[-1][2]
+    return len(rows) - 1
 
 
 class TestCorruptedImputations:
-    @pytest.mark.parametrize("corrupt, message", [
-        (_outcomes_not_binary, "'7' is not 0 or 1"),
-        (_observed_outcome_changed, "observed outcome"),
-        (_duplicate_row, "duplicate row"),
-        (_replicates_doubled, "is not in 1..8"),
-        (_replicate_missing, "replicate 3 does not cover every record"),
-        (_rows_reordered, "line 2: not the layout write_imputations_csv"),
-        (_lf_line_ends, "line 1: not the layout write_imputations_csv"),
-        (_final_row_cut_short, "outcome None is not 0 or 1"),
+    # each id keeps the name the case has long been reported under
+    @pytest.mark.parametrize("corrupt, terminator", [
+        pytest.param(_outcomes_not_binary, "\r\n",
+                     id="_outcomes_not_binary-'7' is not 0 or 1"),
+        pytest.param(_observed_outcome_changed, "\r\n",
+                     id="_observed_outcome_changed-observed outcome"),
+        pytest.param(_duplicate_row, "\r\n", id="_duplicate_row-duplicate row"),
+        pytest.param(_replicates_doubled, "\r\n",
+                     id="_replicates_doubled-is not in 1..8"),
+        pytest.param(_replicate_missing, "\r\n",
+                     id="_replicate_missing-replicate 3 does not cover every "
+                        "record"),
+        pytest.param(_rows_reordered, "\r\n",
+                     id="_rows_reordered-line 2: not the layout "
+                        "write_imputations_csv"),
+        pytest.param(_lf_line_ends, "\n",
+                     id="_lf_line_ends-line 1: not the layout "
+                        "write_imputations_csv"),
+        pytest.param(_final_row_cut_short, "\r\n",
+                     id="_final_row_cut_short-outcome None is not 0 or 1"),
     ])
     def test_fit_refuses_corrupted_file(self, workdir, finished, tmp_path,
-                                        capsys, corrupt, message):
+                                        capsys, corrupt, terminator):
+        """The refusal names the physical line of the first departing byte
+        and shows that line as found."""
         _, cfg_path = workdir
         out = tmp_path / "run"
         shutil.copytree(finished, out)
@@ -326,12 +366,17 @@ class TestCorruptedImputations:
             observed = {r["child_id"]: r["lbw"] for r in csv.DictReader(fh)}
         with open(out / "imputations.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        terminator = corrupt(rows, observed) or "\r\n"
+        i = corrupt(rows, observed)
         with open(out / "imputations.csv", "w", newline="") as fh:
             csv.writer(fh, lineterminator=terminator).writerows(rows)
+        found = io.StringIO()
+        csv.writer(found, lineterminator=terminator).writerow(rows[i])
         assert run_cli("fit", "--config", cfg_path, "--seed", 5,
                        "--out-dir", out) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (data): {out / 'imputations.csv'}:"
+                              f"{i + 1}: expected ")
+        assert err.endswith(f", found {found.getvalue()!r}\n")
 
 
 class TestRefusedArtifacts:
@@ -387,12 +432,21 @@ class TestRefusedArtifacts:
                      lambda rows: ["NEW", rows[1][1], "1990", *rows[1][3:]],
                      "cluster 'NEW' has years before 1998: [1990]",
                      id="clusters-1990-survey"),
+        pytest.param("pairs.csv", "match-card",
+                     lambda rows: [rows[1][0], "NO-E", "NO-L", *rows[1][3:]],
+                     "pair references unknown cluster 'NO-E'",
+                     id="pairs-unknown-cluster"),
+        pytest.param("quadruples.csv", "impute",
+                     lambda rows: ["NO-E", "NO-L", "NO-E", "NO-L"],
+                     "quadruple references unknown pair ('NO-E', 'NO-L')",
+                     id="quadruples-unknown-pair"),
     ])
     def test_refused_row(self, workdir, finished, tmp_path, capsys, name,
                          command, new_row, reason):
-        """One row appended to the file: a repeated key, or a survey year
-        before 1998. The message names the new row's line; ``reason`` is
-        formatted with the cells of the first row."""
+        """One row appended to the file: a repeated key, a survey year
+        before 1998, or an id no upstream artifact holds. The message names
+        the new row's line; ``reason`` is formatted with the cells of the
+        first row."""
         with open(finished / name, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         code = self._run_on_copy(

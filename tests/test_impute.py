@@ -247,6 +247,48 @@ class TestImputationsCsv:
         path = tmp_path / "i.csv"
         write_imputations_csv(records, sets, path)
         path.write_bytes(path.read_bytes().replace(b"1,a,", b"1,\xff,"))
-        with pytest.raises(DataValidationError, match="line 2: imputation "
-                                                      "row for unknown child"):
+        with pytest.raises(DataValidationError) as refused:
             read_imputations_csv(records, path, 1)
+        assert str(refused.value) == (
+            f"{path}:2: expected '1,a,0\\r\\n' or '1,a,1\\r\\n', "
+            f"found '1,\ufffd,1\\r\\n'")
+
+    @settings(max_examples=200, deadline=None)
+    @given(imputed_files(), st.data())
+    def test_one_byte_changed_inserted_or_deleted(self, tmp_path_factory,
+                                                  case, data):
+        """One byte of a written file deleted, or changed to or preceded by
+        a drawn byte or one of 0, 1, 2, CR and LF: the file reads back with
+        one missing outcome flipped, or is refused at the physical line of
+        the first byte that departs."""
+        records, sets = case
+        path = tmp_path_factory.mktemp("imputations") / "i.csv"
+        write_imputations_csv(records, sets, path)
+        written = path.read_bytes()
+        missing = np.array([r.lbw is None for r in records])
+        # the outcome cells sit before each CRLF; they are hit half the time
+        cells = [i for i in range(len(written) - 2)
+                 if written[i + 1:i + 3] == b"\r\n"]
+        at = data.draw(st.sampled_from(cells) | st.integers(0, len(written)),
+                       label="at")
+        drawn = bytes([data.draw(st.integers(0, 255), label="byte")])
+        mutations = [written[:at] + written[at + 1:]]
+        for byte in {drawn, b"0", b"1", b"2", b"\r", b"\n"}:
+            mutations += [written[:at] + byte + written[at + 1:],
+                          written[:at] + byte + written[at:]]
+        for mutated in mutations:
+            if mutated == written:
+                continue
+            path.write_bytes(mutated)
+            try:
+                back = read_imputations_csv(records, path, len(sets))
+            except DataValidationError as exc:
+                departs = next((i for i, (a, b)
+                                in enumerate(zip(written, mutated)) if a != b),
+                               min(len(written), len(mutated)))
+                line = written.count(b"\n", 0, departs) + 1
+                assert str(exc).startswith(f"{path}:{line}: expected ")
+                continue
+            flipped = np.array([got.lbw != want.lbw
+                                for got, want in zip(back, sets)])
+            assert flipped.sum() == 1 and missing[flipped.nonzero()[1]].all()

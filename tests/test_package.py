@@ -96,3 +96,12 @@ def test_from_import_loads_only_what_it_names():
     assert "matchdid.cardmatch" in got["loaded"]
     assert not {"matchdid.cli", "matchdid.pipeline", "matchdid.sensan",
                 "matchdid.synth"} & set(got["loaded"])
+
+
+@pytest.mark.parametrize("module", ["matchdid.impute", "matchdid.model"])
+def test_birth_regressors_load_no_scipy(module):
+    # the regressor row impute shares with infer lives in model, so that
+    # impute does not pull infer, and with it scipy, in
+    assert fresh(f"import {module}\n"
+                 "print(json.dumps(sorted(m for m in sys.modules\n"
+                 "                        if m.split('.')[0] == 'scipy')))") == []
