@@ -134,7 +134,7 @@ def load_config(path: Optional[str] = None, preset: str = "primary") -> RunConfi
     if path is None:
         return cfg
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")

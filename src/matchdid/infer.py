@@ -3,15 +3,15 @@ REML, the four-cell contrast algebra, and Rubin's rules for pooling over
 imputed data sets.
 
 The REML criterion is profiled over the variance ratio theta =
-sigma0^2/sigma1^2; for a random intercept the per-cluster inverse
-(I + theta J)^-1 = I - theta/(1 + theta n_i) J collapses everything to
-cluster totals, weighted only through the cluster size n_i. So once per fit
-the outer products of the cluster totals are summed within each of the S
-cluster sizes, and all M replicates are fitted together: one profile
-evaluation takes one variance ratio per replicate, forms the bordered
-matrix [X, y]'V^-1[X, y] from the S class sums in O(M S p^2), and reads the
-criterion off one batched Cholesky factorisation of it (Bates and DebRoy,
-JMVA 2004).
+sigma0^2/sigma1^2. On a cluster of size n_i, V^-1 = I - theta/(1 + theta
+n_i) J, so once per fit the outer products of the cluster totals are summed
+within each of the S cluster sizes, and all M replicates are fitted
+together. An evaluation forms the bordered matrix [X, y]'V^-1[X, y] from the
+S class sums, reads the criterion off its batched Cholesky factor (Bates and
+DebRoy, JMVA 2004) and its first two derivatives in log theta off the
+factor's inverse. Each replicate's optimum is found by a safeguarded Newton
+iteration (Lindstrom and Bates, JASA 1988) from the best point of a scan, or
+from a given start when a sweep refits with an extra column.
 """
 
 from __future__ import annotations
@@ -155,17 +155,28 @@ class MixedFit:
         return np.array([self.estimates[n] for n in names])
 
 
-# Log theta is scanned on a grid, then refined by golden section in brackets
-# of width 3 around the best grid point, shrunk by 1/phi per step to below
-# 1e-10. A refined value within _EDGE_TOL of the outer bracket edges
-# (-15.5, 11.5) did not locate an optimum.
+# Log theta is searched over [_LOG_THETA_LO, _LOG_THETA_HI] by Newton, from
+# a given start or the best point of the _SCAN grid, to a step below
+# _STEP_TOL. A fit ending within _EDGE_TOL of an end located no optimum.
 _SCAN = np.linspace(-14.0, 10.0, 49)
-_HALF_BRACKET = 1.5
+_LOG_THETA_LO, _LOG_THETA_HI = -15.5, 11.5
 _EDGE_TOL = 1e-9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = math.ceil(math.log(1e-10 / 3.0) / math.log(_INVPHI))
+_STEP_TOL = 1e-10
+_MAX_STEPS = 100
+# Newton scores at most _CHUNK searching replicates a call; a scan fills _CHUNK rows
+_CHUNK = 32
 # share of u'u an extra column must keep off the span of X
 _COLLINEAR_TOL = 1e-9
+
+
+def _inverse_lower(factor: np.ndarray) -> np.ndarray:
+    """Inverses of stacked lower triangular matrices, a row at a time."""
+    inv = np.zeros_like(factor)
+    for i in range(factor.shape[-1]):
+        inv[:, i, i] = 1.0
+        inv[:, i, :i] = -(factor[:, i, None, :i] @ inv[:, :i, :i])[:, 0]
+        inv[:, i, :i + 1] /= factor[:, i, i, None]
+    return inv
 
 
 class MixedModelData:
@@ -198,6 +209,8 @@ class MixedModelData:
                                                  return_counts=True)
         self.xtx = self.X.T @ self.X
         self.cluster_x_totals = np.add.reduceat(self.X, starts, axis=0)
+        self.x_classes = np.array([t.T @ t for t in (
+            self.cluster_x_totals[self.cluster_sizes == size] for size in self.sizes)])
 
     def _check_rank(self):
         rank = np.linalg.matrix_rank(self.X)
@@ -209,43 +222,52 @@ class MixedModelData:
             raise DataValidationError(f"design matrix is rank deficient; "
                                       f"collinear columns: {cols}")
 
-    def _stats(self, Y, extra=None):
-        """Per replicate i the cross products (M, k, k) of [X, V_i] and
-        their size-class sums (M, S, k, k): class s sums t t' over the
-        clusters of size ``sizes[s]``, with t a cluster's totals of
-        [X, V_i]. V_i = [U[i], Y[i]] for ``extra`` = (name, U) and [Y[i]]
-        otherwise. The sums are built one class at a time, so no (M, C, k)
-        array is formed."""
-        p, m, U = self.p, len(Y), None if extra is None else extra[1]
-        k = p + 1 + (U is not None)
-        gram = np.empty((m, k, k))
-        v_totals = np.empty((m, len(self.starts), k - p))
-        gram[:, :p, :p] = self.xtx
-        for i, y in enumerate(Y):
-            v = np.column_stack([y] if U is None else [U[i], y])
-            v = v.astype(float)[self.order]
-            gram[i, p:, :p] = v.T @ self.X
-            gram[i, :p, p:] = gram[i, p:, :p].T
-            gram[i, p:, p:] = v.T @ v
-            v_totals[i] = np.add.reduceat(v, self.starts, axis=0)
-        classes = np.empty((m, len(self.sizes), k, k))
-        totals = np.empty((m, self.size_counts.max(), k))
+    def _border(self, base, v, V) -> Tuple[np.ndarray, np.ndarray]:
+        """The statistics ``base`` of [X, V] with a column v[i] after X for
+        each replicate i: only its row and column, each replicate's from its
+        own operands, the class sums a class at a time (no (M, C, k) array)."""
+        p, m, k = self.p, len(v), base[0].shape[-1] + 1
+        keep = np.r_[:p, p + 1:k]
+        gram, classes = (np.empty(a.shape[:-2] + (k, k)) for a in base)
+        gram[:, keep[:, None], keep], classes[..., keep[:, None], keep] = base
+        totals = np.empty((m, len(self.starts), 1 + len(V)))
+        for i, cols in enumerate(zip(v, *V)):
+            w = np.take(np.asarray(cols, dtype=float), self.order, axis=1)
+            gram[i, p] = np.concatenate([w[0] @ self.X, w @ w[0]])
+            totals[i] = np.add.reduceat(w, self.starts, axis=1).T
+        t = np.empty((m, self.size_counts.max(), k))
         for j, size in enumerate(self.sizes):
-            members = self.cluster_sizes == size
-            t = totals[:, :self.size_counts[j]]
-            t[..., :p] = self.cluster_x_totals[members]
-            t[..., p:] = v_totals[:, members]
-            np.einsum("mci,mcj->mij", t, t, out=classes[:, j])
-        if U is not None:
-            # u lies in the span of X when its residual on X, the Schur
-            # complement of X'X, vanishes; X'X is scaled to unit diagonal
-            s = 1.0 / np.sqrt(np.diag(self.xtx))
-            w = scipy.linalg.solve_triangular(np.linalg.cholesky(
-                self.xtx * np.outer(s, s)), (gram[:, p, :p] * s).T, lower=True)
-            if np.any(gram[:, p, p] - (w * w).sum(axis=0)
-                      <= _COLLINEAR_TOL * gram[:, p, p]):
-                raise DataValidationError(f"design matrix is rank deficient; "
-                                          f"collinear columns: {extra[0]}")
+            members, part = self.cluster_sizes == size, t[:, :self.size_counts[j]]
+            part[..., :p] = self.cluster_x_totals[members]
+            part[..., p:] = totals[:, members]
+            np.einsum("mc,mcj->mj", part[..., p], part, out=classes[:, j, p])
+        gram[:, :, p], classes[:, :, :, p] = gram[:, p], classes[:, :, p]
+        return gram, classes
+
+    def outcomes(self, Y) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``_stats`` of Y alone, which every fit of Y shares."""
+        return self._border(tuple(np.broadcast_to(a, (len(Y),) + a.shape)
+                                  for a in (self.xtx, self.x_classes)), Y, [])
+
+    def _stats(self, Y, extra=None, base=None):
+        """Per replicate i the cross products (M, k, k) of [X, V_i] and
+        their size-class sums (M, S, k, k), V_i = [U[i], Y[i]] for
+        ``extra`` = (name, U) and [Y[i]] otherwise; ``base``, if given, is
+        the ``outcomes(Y)`` that U borders."""
+        base = base or self.outcomes(Y)
+        if extra is None:
+            return base
+        name, U = extra
+        p, (gram, classes) = self.p, self._border(base, U, [Y])
+        # u lies in the span of X when its residual on X, the Schur
+        # complement of X'X, vanishes; X'X is scaled to unit diagonal
+        s = 1.0 / np.sqrt(np.diag(self.xtx))
+        w = scipy.linalg.solve_triangular(np.linalg.cholesky(
+            self.xtx * np.outer(s, s)), (gram[:, p, :p] * s).T, lower=True)
+        if np.any(gram[:, p, p] - (w * w).sum(axis=0)
+                  <= _COLLINEAR_TOL * gram[:, p, p]):
+            raise DataValidationError(f"design matrix is rank deficient; "
+                                      f"collinear columns: {name}")
         return gram, classes
 
     def profile_criterion(self, theta: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
@@ -289,30 +311,105 @@ class MixedModelData:
         with np.errstate(divide="ignore"):
             return (self.n - q) * np.log(rss) + logdet, rss, chol, z
 
-    def _golden_section(self, lo, hi, stats):
-        """Minimise the criterion over log theta in [lo, hi], one bracket
-        per replicate; a fixed step count keeps replicates independent."""
-        def crit(u):
-            return self.profile_criterion(np.exp(u), stats)[0]
+    def _newton_terms(self, u: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
+        """f = (n - q - 1) log rss + log det W + sum_s k_s log(1 + theta n_s)
+        at theta = exp(u) and f_u, f_uu (nan where f is not finite). With W =
+        L L', R = L^-1, E = R A R', F = R B R' for W_u = -A, W_uu = -B: (log
+        det W)_u = -tr E, (log det W)_uu = -tr F - |E|^2, (log rss)_u = -E_qq,
+        (log rss)_uu = E_qq^2 - 2 |E_q.|^2 - F_qq."""
+        theta = np.exp(u)
+        criterion, rss, chol, z = self.profile_criterion(theta, stats)
+        q = len(z[0])
+        factor = np.zeros_like(stats[0])
+        factor[:, :q, :q], factor[:, q, :q], factor[:, q, q] = chol, z, np.sqrt(rss)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv = _inverse_lower(factor)
+            d = 1.0 + theta[:, None] * self.sizes
+            a = theta[:, None] / d ** 2     # c_s'(u); c_s''(u) = a (2 / d - 1)
+            # of F = R B R' only tr F = sum (R B) * R and F_qq are needed
+            rb = inv @ np.einsum("ms,msij->mij", a * (2.0 / d - 1.0), stats[1])
+            tr_f, f_qq = (rb * inv).sum(axis=(1, 2)), (rb[:, q] * inv[:, q]).sum(axis=1)
+            e = inv @ np.einsum("ms,msij->mij", a, stats[1]) @ np.swapaxes(inv, 1, 2)
+            r, v = self.n - q - 1, self.size_counts * theta[:, None] * self.sizes / d
+            grad = -r * e[:, q, q] - np.trace(e, axis1=1, axis2=2) + v.sum(axis=1)
+            hess = (r * (e[:, q, q] ** 2 - 2.0 * (e[:, q] ** 2).sum(axis=1) - f_qq)
+                    - tr_f - (e * e).sum(axis=(1, 2)) + (v / d).sum(axis=1))
+        grad[~np.isfinite(criterion)] = hess[~np.isfinite(criterion)] = np.nan
+        return criterion, grad, hess
 
-        c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-        fc, fd = crit(c), crit(d)
-        for _ in range(_GOLDEN_STEPS):
-            left = fc < fd          # the minimum lies in [lo, d]
-            lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-            x = np.where(left, hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo))
-            fx = crit(x)
-            c, fc, d, fd = (np.where(left, x, d), np.where(left, fx, fd),
-                            np.where(left, c, x), np.where(left, fc, fx))
-        return np.where(fc < fd, c, d), np.minimum(fc, fd)
+    def _newton(self, u: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
+        """Minimise the criterion over log theta from ``u``, each replicate
+        in a bracket shrunk by its gradient's sign, by Newton's step in c =
+        theta / (1 + theta n0) (n0 the smallest cluster size) or else in log
+        theta, where convex and in the bracket, else by bisection; a step
+        past an end lands on it. A call takes up to _CHUNK searching ones.
+        Returns (u, criterion, steps, still going at _MAX_STEPS, evaluations)."""
+        m, n0, evals = len(u), self.sizes[0], 0
+        lo, hi = np.full(m, _LOG_THETA_LO), np.full(m, _LOG_THETA_HI)
+        best, steps = np.empty(m), np.zeros(m, dtype=np.int64)
+        active = np.ones(m, dtype=bool)
+        while (active & (steps < _MAX_STEPS)).any():
+            rows = np.flatnonzero(active & (steps < _MAX_STEPS))[:_CHUNK]
+            # while most rows are searching, all are scored, with no copy
+            sub, pick = (slice(None), rows) if 2 * len(rows) > m else (rows, slice(None))
+            f, g, h = (t[pick] for t in self._newton_terms(
+                u[sub], tuple(a[sub] for a in stats)))
+            x, best[rows] = u[rows], f
+            steps[rows], evals = steps[rows] + 1, evals + 1
+            lo[rows[g < 0]], hi[rows[g > 0]] = x[g < 0], x[g > 0]
+            # c'(u) = c / w, c''(u) = c'(u) (2 / w - 1): curvature = f_cc c'^2
+            theta = np.exp(x)
+            w = 1.0 + theta * n0
+            curvature = h - g * (2.0 / w - 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = theta / w * (1.0 - g / (w * curvature))
+                t = np.where(curvature > 0, np.where(
+                    c * n0 >= 1.0, np.inf,
+                    np.log(np.maximum(c, 0.0) / (1.0 - c * n0))),
+                    np.where(h > 0, x - g / h, np.nan))
+            t = np.clip(t, _LOG_THETA_LO, _LOG_THETA_HI)
+            t = np.where((lo[rows] <= t) & (t <= hi[rows]), t,
+                         0.5 * (lo[rows] + hi[rows]))
+            stop = np.abs(t - x) < _STEP_TOL
+            u[rows] = np.where(stop, x, t)
+            active[rows[stop]] = False
+        return u, best, steps, active, evals
 
-    def fit(self, Y, extra: Optional[Tuple[str, np.ndarray]] = None) -> List[MixedFit]:
+    def _search(self, stats, start=None) -> Tuple[np.ndarray, ...]:
+        """``_newton`` from ``start`` or else from the best scan point, which
+        scores a few replicates at several points per call; logs its calls."""
+        m, scores = len(stats[0]), []
+        if start is None:
+            k = max(1, _CHUNK // max(m, 1))
+            scores = [self.profile_criterion(np.repeat(np.exp(g), m), stats if k == 1
+                                             else tuple(np.concatenate([a] * len(g))
+                                                        for a in stats))[0]
+                      for g in np.split(_SCAN, range(k, len(_SCAN), k))]
+            start = _SCAN[np.argmin(np.concatenate(scores).reshape(len(_SCAN), m),
+                                    axis=0)]
+        u, best, steps, failed, evals = self._newton(
+            np.clip(start, _LOG_THETA_LO, _LOG_THETA_HI), stats)
+        _log.debug("REML search of %d replicates: %d scan and %d Newton calls, at "
+                   "most %d steps", m, len(scores), evals, steps.max(initial=0))
+        edge = (u < _LOG_THETA_LO + _EDGE_TOL) | (u > _LOG_THETA_HI - _EDGE_TOL)
+        if not scores and edge.any():
+            # from a start, it may stop at an end beside a lower minimum
+            again = self._search(tuple(a[edge] for a in stats))
+            lower = again[1] < best[edge]
+            rows = np.flatnonzero(edge)[lower]
+            for a, b in zip((u, best, failed, edge), again):
+                a[rows] = b[lower]
+        return u, best, failed, edge
+
+    def fit(self, Y, extra: Optional[Tuple[str, np.ndarray]] = None,
+            start: Optional[np.ndarray] = None, base=None) -> List[MixedFit]:
         """REML fits of the outcome vectors Y[0..M-1], in order. ``extra`` =
         (name, U) adds a regressor that differs by replicate: row i of the
-        (M, n) array U goes with Y[i]."""
+        (M, n) array U goes with Y[i]. ``start``, a theta per replicate such as
+        an earlier fit's, replaces the scan; ``base`` is ``outcomes(Y)``."""
         names = self.names + (() if extra is None else (extra[0],))
-        stats = self._stats(Y, extra)
-        m, q = len(Y), len(names)
+        stats = self._stats(Y, extra, base)
+        m, q = len(stats[0]), len(names)
         crit0, rss0, _, _ = self.profile_criterion(np.zeros(m), stats)
         # degenerate outcome: zero residual variation at theta = 0. It keeps
         # theta = 0 and stays out of the search, where its vanishing
@@ -322,26 +419,28 @@ class MixedModelData:
         live = ~degenerate
         # a copy of the statistics only when some replicate is left out
         search = stats if live.all() else tuple(a[live] for a in stats)
-        u = _SCAN[np.argmin([
-            self.profile_criterion(np.full(live.sum(), math.exp(g)), search)[0]
-            for g in _SCAN], axis=0)]
-        u, best = self._golden_section(u - _HALF_BRACKET, u + _HALF_BRACKET, search)
-        theta, on_edge = np.zeros(m), np.zeros(m, dtype=bool)
+        if start is not None:
+            start = np.log(np.fmax(np.asarray(start, float)[live], np.exp(_LOG_THETA_LO)))
+        u, best, stopped, edge = self._search(search, start)
+        theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
         theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
-        lo, hi = _SCAN[0] - _HALF_BRACKET, _SCAN[-1] + _HALF_BRACKET
-        on_edge[live] = (theta[live] > 0) & ((u < lo + _EDGE_TOL)
-                                             | (u > hi - _EDGE_TOL))
-        if on_edge.any():
+        unconverged[live] = stopped | ((theta[live] > 0) & edge)
+        if unconverged.any():
             _log.warning("%d of %d REML fits ended on the edge of the log "
-                         "variance-ratio range [%g, %g]; they are marked "
-                         "not converged", on_edge.sum(), m, lo, hi)
+                         "variance-ratio range [%g, %g] or stopped before "
+                         "converging; they are marked not converged",
+                         unconverged.sum(), m, _LOG_THETA_LO, _LOG_THETA_HI)
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
+        # the statistics are done with; freeing them here keeps the peak
+        # memory of a fit at its search's
+        del stats, search
         if not np.isfinite(criterion[live]).all():
             raise ConvergenceError("REML profile criterion is not finite")
-        gamma = np.linalg.solve(np.swapaxes(chol, 1, 2), z[..., None])[..., 0]
+        inv = _inverse_lower(chol)
+        gamma = (z[:, None] @ inv)[:, 0]
         sigma1_sq = np.where(degenerate, 0.0, rss / (self.n - q))
         # diag((X'V^-1X)^-1) holds the column sums of squares of chol^-1
-        se = np.sqrt(sigma1_sq[:, None] * (np.linalg.inv(chol) ** 2).sum(axis=1))
+        se = np.sqrt(sigma1_sq[:, None] * (inv ** 2).sum(axis=1))
         # the REML log-likelihood at sigma1^2 = rss / (n - q)
         loglik = np.where(degenerate, math.inf, -0.5 * (
             criterion + (self.n - q) * (math.log(2.0 * math.pi / (self.n - q)) + 1.0)))
@@ -349,7 +448,7 @@ class MixedModelData:
                          standard_errors=dict(zip(names, se[i])),
                          sigma0_sq=float(theta[i] * sigma1_sq[i]),
                          sigma1_sq=float(sigma1_sq[i]), loglik=float(loglik[i]),
-                         converged=not on_edge[i], theta=float(theta[i]))
+                         converged=not unconverged[i], theta=float(theta[i]))
                 for i in range(m)]
 
 
@@ -484,19 +583,12 @@ def _cell_rate(observed: np.ndarray, mask: np.ndarray) -> float:
     return float(values.mean())
 
 
-def fit_and_pool(design: InferenceDesign, imputed_sets,
-                 extra: Optional[Tuple[str, np.ndarray]] = None):
-    """Fit every completed data set in one batch (``extra`` as in
-    ``MixedModelData.fit``) and pool by Rubin's rules. Returns (fits,
-    pooled)."""
-    if len(imputed_sets) < 2:
-        raise DataValidationError("pooling needs M >= 2 imputations")
-    data = MixedModelData(design.X, design.cluster_codes, design.regressors)
-    fits = data.fit([s.lbw for s in imputed_sets], extra)
-    names = tuple(fits[0].estimates)
+def pool_fits(fits: Sequence[MixedFit]) -> Dict[str, PooledEstimate]:
+    """Pool the estimates of M >= 2 fits of one model by Rubin's rules."""
+    names = tuple(fits[0].estimates) if fits else ()
     est = np.array([f.estimate_vector(names) for f in fits])
     var = np.array([[f.standard_errors[n] ** 2 for n in names] for f in fits])
-    return fits, rubin_combine(est, var, names)
+    return rubin_combine(est, var, names)
 
 
 def run_primary_analysis(design: InferenceDesign, imputed_sets) -> PrimaryResult:
@@ -504,7 +596,9 @@ def run_primary_analysis(design: InferenceDesign, imputed_sets) -> PrimaryResult
     rules, and report the naive four-cell contrast and the covariate drift
     term over treated pairs for comparison."""
     names = design.regressors
-    fits, pooled = fit_and_pool(design, imputed_sets)
+    fits = MixedModelData(design.X, design.cluster_codes, names).fit(
+        [s.lbw for s in imputed_sets])
+    pooled = pool_fits(fits)
 
     cells = design.cell_masks
     a = _cell_rate(design.observed_lbw, cells["hl_early"])

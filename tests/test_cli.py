@@ -125,6 +125,16 @@ class TestExitCodes:
         assert err.startswith(f"error (config): bad config in {path}: ")
         assert reason in err
 
+    def test_percent_in_an_inputs_path_is_taken_literally(self, workdir,
+                                                          tmp_path):
+        _, cfg_path = workdir
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", cfg_path, "--out-dir", out) == 0
+        births = (out / "births.csv").rename(out / "births_100%.csv")
+        path = tmp_path / "percent.ini"
+        path.write_text(f"{cfg_path.read_text()}\n[inputs]\nbirths = {births}\n")
+        assert run_cli("ingest", "--config", path, "--out-dir", out) == 0
+
     def test_fit_without_impute_is_data_error(self, workdir, tmp_path, capsys):
         _, cfg_path = workdir
         out = tmp_path / "partial"

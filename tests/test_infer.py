@@ -11,6 +11,8 @@ from matchdid.infer import (
     COVARIATE_REGRESSORS,
     REGRESSORS,
     MixedModelData,
+    _LOG_THETA_HI,
+    _LOG_THETA_LO,
     _SCAN,
     build_design,
     did_contrasts,
@@ -19,7 +21,44 @@ from matchdid.infer import (
     run_primary_analysis,
     write_results_csv,
 )
+from matchdid import cli, pipeline
+from matchdid._util import substream
+from matchdid.config import load_config
 from matchdid.ingest import filter_births
+from matchdid.sensan import gen_u
+
+# the quickstart benchmark's scenario, with the sweep off
+QUICKSTART_CONFIG = """
+[scenario]
+n_countries = 3
+regions_per_country = 12
+births_per_cluster = 25
+covariate_imbalance = 0.05
+decline_fraction = 0.5
+stable_high_fraction = 0.5
+missingness = mcar
+missing_rate = 0.3
+
+[sensitivity]
+enabled = false
+"""
+
+
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """The design and M = 50 completed data sets of ``matchdid pipeline
+    --preset quickstart`` on scenario seed 1, analysis seed 1."""
+    root = tmp_path_factory.mktemp("quickstart")
+    config = root / "quickstart.ini"
+    config.write_text(QUICKSTART_CONFIG)
+    out = root / "out"
+    for command, seed in (("simulate", 1), ("pipeline", 1)):
+        assert cli.run([command, "--preset", "quickstart", "--config",
+                        str(config), "--seed", str(seed),
+                        "--out-dir", str(out)]) == 0
+    ws = pipeline.Workspace(load_config(str(config), "quickstart"), out)
+    design = ws.design()
+    return design, ws.imputed(design)
 
 
 class TestDidContrasts:
@@ -322,6 +361,25 @@ class TestRemlProperties:
             ref = reml_loglik(data, y, fit.sigma0_sq, fit.sigma1_sq)
             assert fit.loglik == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_designs())
+    def test_no_point_of_a_dense_grid_beats_the_fit(self, case):
+        # cold fits with and without the extra column, and fits with it
+        # started from the fit without it; the grid holds 2,001 log thetas
+        X, codes, Y, U = case
+        data = MixedModelData(X, codes, tuple(f"x{j}" for j in range(X.shape[1])))
+        grid = np.exp(np.linspace(_LOG_THETA_LO, _LOG_THETA_HI, 2001))
+        cold = data.fit(Y)
+        for extra, fits in ((None, cold), (("u", U), data.fit(Y, ("u", U))),
+                            (("u", U), data.fit(Y, ("u", U), start=_theta(cold)))):
+            stats = data._stats(Y, extra)
+            fitted = data.profile_criterion(
+                np.array([f.theta for f in fits]), stats)[0]
+            for i in range(len(Y)):
+                dense = data.profile_criterion(grid, tuple(
+                    np.repeat(a[i:i + 1], len(grid), axis=0) for a in stats))[0]
+                assert fitted[i] <= dense.min() + 1e-9 * max(1.0, abs(fitted[i]))
+
     def test_indefinite_replicate_reads_inf_without_aborting(self):
         # the second replicate's X'X block is indefinite; the first still
         # gets the criterion it has alone
@@ -366,6 +424,39 @@ class TestRemlProperties:
         batch_calls = len(calls) - n_alone
         assert batch_calls <= n_alone + 2 * 2
 
+    def test_warm_started_fit_stays_within_its_evaluation_budget(
+            self, monkeypatch, caplog):
+        # a refit with an extra column from the first fit's log theta: the
+        # evaluations at theta = 0 and at the fitted theta, and Newton's,
+        # each of which also scores the criterion. (A replicate whose search
+        # ends at an end of the range is searched again from the scan; no
+        # replicate here does.) The golden-section search took 104.
+        rng = np.random.default_rng(3)
+        codes = np.repeat(np.arange(12), 5)
+        X = np.column_stack([np.ones(60), rng.normal(size=60)])
+        Y = rng.normal(size=(8, 12))[:, codes] + rng.normal(size=(8, 60))
+        U = rng.integers(0, 2, (8, 60))
+        data = MixedModelData(X, codes, ("a", "b"))
+        base = data.outcomes(Y)
+        start = _theta(data.fit(Y, base=base))
+        calls = []
+        criterion = MixedModelData.profile_criterion
+
+        def counted(self, theta, stats):
+            calls.append(len(theta))
+            return criterion(self, theta, stats)
+
+        monkeypatch.setattr(MixedModelData, "profile_criterion", counted)
+        with caplog.at_level(logging.DEBUG, logger="matchdid.infer"):
+            fits = data.fit(Y, ("u", U), start=start, base=base)
+        assert all(f.converged and f.theta > 0 for f in fits)
+        assert len(calls) <= 10
+        # the search's record counts every batched evaluation but the two
+        record, = [r.getMessage() for r in caplog.records]
+        assert record == (f"REML search of 8 replicates: 0 scan and "
+                          f"{len(calls) - 2} Newton calls, at most "
+                          f"{len(calls) - 2} steps")
+
 
 def _seeded_tiny_designs(n_seeds=80):
     """Fixed tiny designs: 2-8 clusters of 1-6 rows, an intercept plus 1-3
@@ -387,6 +478,92 @@ def _seeded_tiny_designs(n_seeds=80):
             continue
         perm = rng.permutation(n)
         yield X[perm], codes[perm], Y[:, perm], U[:, perm]
+
+
+def _theta(fits):
+    return np.array([f.theta for f in fits])
+
+
+def _assert_same_fits(warm, cold):
+    """Equal within the search's tolerance, with the same theta = 0 and
+    convergence decisions."""
+    for a, b in zip(warm, cold):
+        assert (a.theta == 0.0) == (b.theta == 0.0)
+        assert a.converged == b.converged
+        if a.theta > 0.0:
+            assert math.log(a.theta) == pytest.approx(math.log(b.theta), abs=1e-8)
+        assert a.loglik == pytest.approx(b.loglik, rel=1e-10, abs=1e-10)
+        for name in a.estimates:
+            for x, y in ((a.estimates, b.estimates),
+                         (a.standard_errors, b.standard_errors)):
+                assert x[name] == pytest.approx(y[name], rel=1e-8, abs=1e-12)
+
+
+class TestWarmStart:
+    def test_warm_fits_equal_full_scan_fits_on_seeded_designs(self):
+        designs = 0
+        for X, codes, Y, U in _seeded_tiny_designs():
+            designs += 1
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            base = data.outcomes(Y)
+            start = _theta(data.fit(Y, base=base))
+            _assert_same_fits(data.fit(Y, ("u", U), start=start, base=base),
+                              data.fit(Y, ("u", U)))
+        assert designs >= 40
+
+    def test_warm_fits_equal_full_scan_fits_on_the_quickstart_design(
+            self, quickstart):
+        design, sets = quickstart
+        data = MixedModelData(design.X, design.cluster_codes, design.regressors)
+        Y = [s.lbw for s in sets]
+        base = data.outcomes(Y)
+        start = _theta(data.fit(Y, base=base))
+        low = design.X[:, design.regressors.index("low_prevalence")]
+        for p1, p2 in ((5.0, 10.0), (5.0, -10.0), (-5.0, 10.0), (-5.0, -10.0)):
+            U = np.array([gen_u(low, s.lbw, p1, p2,
+                                substream(1, "sensan", p1, p2, s.replicate))
+                          for s in sets])
+            _assert_same_fits(data.fit(Y, ("u", U), start=start, base=base),
+                              data.fit(Y, ("u", U)))
+
+    def test_derivatives_match_central_differences(self):
+        # the analytic first and second derivatives of the criterion in log
+        # theta against central differences of the criterion and of the
+        # gradient, where the criterion is not flat
+        checked = 0
+        for X, codes, Y, U in _seeded_tiny_designs(20):
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            for extra in (None, ("u", U)):
+                stats = data._stats(Y, extra)
+                for g in (-3.0, -1.0, 0.0, 1.5, 4.0):
+                    u, e = np.full(len(Y), g), 1e-5
+                    f, grad, hess = data._newton_terms(u, stats)
+                    up, down = (data._newton_terms(u + s, stats) for s in (e, -e))
+                    fd_grad = (up[0] - down[0]) / (2 * e)
+                    fd_hess = (up[1] - down[1]) / (2 * e)
+                    keep = np.abs(grad) > 1e-6
+                    assert np.allclose(grad[keep], fd_grad[keep], rtol=1e-5)
+                    keep = np.abs(hess) > 1e-6
+                    assert np.allclose(hess[keep], fd_hess[keep], rtol=1e-5)
+                    checked += int(keep.sum())
+        assert checked >= 100
+
+    def test_start_on_the_wrong_side_reaches_the_optimum(self):
+        rng = np.random.default_rng(8)
+        codes = np.repeat(np.arange(40), 6)
+        X = np.column_stack([np.ones(240), rng.normal(size=240)])
+        Y = rng.normal(0, 0.5, (3, 40))[:, codes] + rng.normal(size=(3, 240))
+        data = MixedModelData(X, codes, ("a", "b"))
+        cold = data.fit(Y)
+        theta = _theta(cold)
+        assert np.all(theta > 0.0)
+        # e^-3 and e^3 times the optimum, the ends of the range, and beyond
+        for start in (theta / math.e ** 3, theta * math.e ** 3,
+                      np.full(3, math.exp(_LOG_THETA_LO)), np.zeros(3),
+                      np.full(3, math.exp(_LOG_THETA_HI)), np.full(3, 1e300)):
+            _assert_same_fits(data.fit(Y, start=start), cold)
 
 
 class TestBatchIndependence:
@@ -412,6 +589,47 @@ class TestBatchIndependence:
                         values += 1
         assert designs >= 40
         assert mismatches == 0, f"{mismatches} of {values} values differ"
+
+    def test_u_statistics_are_bit_equal_in_a_batch_and_alone(self):
+        # U borders the statistics of [X, Y], with its own row and column
+        designs = 0
+        for X, codes, Y, U in _seeded_tiny_designs():
+            designs += 1
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            together = data._stats(Y, ("u", U), data.outcomes(Y))
+            for i, y in enumerate(Y):
+                alone = data._stats([y], ("u", U[i:i + 1]), data.outcomes([y]))
+                for a, b in zip(together, alone):
+                    assert np.array_equal(a[i], b[0])
+        assert designs >= 40
+
+    def test_u_statistics_equal_those_of_u_as_a_design_column(self):
+        # within 1e-12 of the largest entry on the seeded designs, where
+        # sums of products of floats are rounded in another order
+        for X, codes, Y, U in _seeded_tiny_designs():
+            names = tuple(f"x{j}" for j in range(X.shape[1]))
+            bordered = MixedModelData(X, codes, names)._stats(Y, ("u", U))
+            for i, y in enumerate(Y):
+                ref = MixedModelData(np.column_stack([X, U[i]]), codes,
+                                     names + ("u",))._stats([y])
+                for a, b in zip(bordered, ref):
+                    assert np.abs(a[i] - b[0]).max() <= 1e-12 * np.abs(b[0]).max()
+
+    def test_u_statistics_are_exact_on_the_integer_design(self, analysis):
+        # the pipeline's design, outcomes and U hold integers, whose sums are
+        # exact in any order
+        design, _, sets = analysis
+        data = MixedModelData(design.X, design.cluster_codes, design.regressors)
+        Y = [s.lbw for s in sets[:3]]
+        U = np.random.default_rng(4).integers(0, 2, (3, design.n_records))
+        bordered = data._stats(Y, ("u", U))
+        for i, y in enumerate(Y):
+            ref = MixedModelData(np.column_stack([design.X, U[i]]),
+                                 design.cluster_codes,
+                                 design.regressors + ("u",))._stats([y])
+            for a, b in zip(bordered, ref):
+                assert np.array_equal(a[i], b[0])
 
 
 class TestPrimaryAnalysis:
