@@ -227,9 +227,9 @@ def draw_imputations(
     """
     if m < 1:
         raise DataValidationError("number of imputations must be >= 1")
-    X = design_matrix(records)
     observed = np.array([-1 if r.lbw is None else r.lbw for r in records])
     missing = observed < 0
+    X_missing = design_matrix(records)[missing]
     chol = np.linalg.cholesky(
         model.covariance + 1e-12 * np.eye(len(model.coefficients))
     )
@@ -240,9 +240,9 @@ def draw_imputations(
             len(model.coefficients)
         )
         u = rng.random(len(records))
-        lbw = observed.astype(np.int8).copy()
+        lbw = observed.astype(np.int8)
         if missing.any():
-            p = _sigmoid(X[missing] @ beta_star)
+            p = _sigmoid(X_missing @ beta_star)
             lbw[missing] = (u[missing] < p).astype(np.int8)
         sets.append(ImputedSet(replicate=replicate, lbw=lbw))
     return sets

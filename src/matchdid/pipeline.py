@@ -128,10 +128,14 @@ class Workspace:
 
     def design(self) -> InferenceDesign:
         quadruples = self.quadruples()
-        filtered, _ = filter_births(self.tables[1])
+        filtered, counts = filter_births(self.tables[1])
         analyzed = [r for r in filtered if self.cfg.filters.keep(r)]
         if not analyzed:
-            raise DataValidationError("row filters removed every birth record")
+            raise DataValidationError(
+                f"no birth record is left to analyse: of {counts.total_in} "
+                f"read, {counts.multiple_births} are multiple births, "
+                f"{counts.missing_reported_size} more have no reported size, "
+                f"and [filters] removed the other {counts.remaining}")
         return build_design(analyzed, quadruples, self.cfg.model)
 
     def imputed(self, design: InferenceDesign) -> List[ImputedSet]:

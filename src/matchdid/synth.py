@@ -5,17 +5,18 @@ generative model that mirrors the outcome model: each region contributes
 one early and one late cluster a small jitter apart, carries a prevalence
 trajectory kind (declining, stayed high, medium, or a zero-prevalence
 late cluster), and every birth's outcome is a Bernoulli draw of the linear
-cell probability (clipped to [0.001, 0.999] during generation only). All
-draws run on counter-based substreams keyed by (seed, role, indices), so
-the same (config, seed) always produces byte-identical files.
+cell probability (clipped to [0.001, 0.999] during generation only).
+Births are drawn a column at a time per cluster: each birth field of all of
+a cluster's births is one ``Generator`` call. All draws run on
+counter-based substreams keyed by (seed, role, indices), so the same
+(config, seed) always produces byte-identical files.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -34,6 +35,11 @@ from .model import (
 from .ingest import write_births_csv, write_clusters_csv, write_prevalence_csv
 
 CLIP_BOUNDS = (0.001, 0.999)
+
+# BirthRecord's fields in order, and the reported sizes by index (3 is a
+# missing size)
+_BIRTH_FIELDS = tuple(f.name for f in fields(BirthRecord))
+_SIZES = np.array([*BirthSize, None], dtype=object)
 
 DEFAULT_COEFFICIENTS = Coefficients(
     k0=0.20, k1=-0.03, k2=-0.01, k3=0.01,
@@ -100,6 +106,9 @@ class ScenarioConfig:
                     f"size probabilities must be a 3-simplex, got {probs}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise DataValidationError("missing_rate must be in [0, 1)")
+        for name in ("missing_size_rate", "multiple_birth_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DataValidationError(f"{name} must be in [0, 1]")
         if not 2000 <= self.early_year <= 2007:
             raise DataValidationError("early_year must lie in 2000..2007")
         if not 2008 <= self.late_year <= 2015:
@@ -115,20 +124,6 @@ class ScenarioData:
 
 def _sigmoid(z: float) -> float:
     return 1.0 / (1.0 + math.exp(-z))
-
-
-def _cdf(p) -> List[float]:
-    """The normalised cumulative sums that ``Generator.choice(a, p=p)``
-    searches with one ``random()`` draw."""
-    cdf = np.cumsum(np.asarray(p, dtype=float))
-    cdf /= cdf[-1]
-    return cdf.tolist()
-
-
-def _choice(rng, values, cdf):
-    """``rng.choice(values, p=p)`` for ``cdf = _cdf(p)``: the same draw and
-    the same value, without the per-call checks."""
-    return values[bisect.bisect_right(cdf, rng.random())]
 
 
 def _region_kind(u: float, cfg: ScenarioConfig) -> str:
@@ -207,9 +202,8 @@ def _calibrate_intercept(logits: np.ndarray, rate: float) -> float:
 
 def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
     coeffs = cfg.coefficients
-    beta = np.array(coeffs.beta, dtype=float)
     clusters: List[ClusterRecord] = []
-    birth_fields: List[Dict] = []
+    birth_columns: List[Dict[str, np.ndarray]] = []
     cluster_truth: Dict[str, Dict] = {}
     kind_counts: Dict[str, int] = {}
 
@@ -257,15 +251,15 @@ def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
                     "treated_pair": int(treated_like),
                 }
                 alpha = float(rng_cluster.normal(0.0, coeffs.sigma0))
-                birth_fields.extend(_gen_births(
-                    cfg, coeffs, beta, seed, ci, ri, period, record,
-                    low_prev=low_prev, late=late, treated=treated_like,
-                    alpha=alpha, urban_frac=covs["urban"],
-                    educ_mean=covs["mother_education"], ses=ses,
-                ))
+                birth_columns.append(_gen_births(
+                    cfg, substream(seed, "births", ci, ri, period), cluster_id,
+                    low_prev, late, treated_like, alpha, covs, ses))
 
-    _apply_missingness(cfg, seed, birth_fields)
-    births = [BirthRecord(**fields) for fields in birth_fields]
+    columns = {name: np.concatenate([c[name] for c in birth_columns])
+               for name in _BIRTH_FIELDS}
+    _apply_missingness(cfg, seed, columns)
+    births = [BirthRecord(*row) for row in
+              zip(*(columns[name].tolist() for name in _BIRTH_FIELDS))]
 
     # the record as truth.json holds it, tuples read back as lists
     truth = json.loads(json.dumps({
@@ -283,76 +277,71 @@ def generate(cfg: ScenarioConfig, seed: int) -> ScenarioData:
 
 
 def _gen_births(
-    cfg, coeffs, beta, seed, ci, ri, period, cluster,
-    low_prev, late, treated, alpha, urban_frac, educ_mean, ses,
-) -> List[Dict]:
-    """The cluster's births as ``BirthRecord`` field dicts; the records are
-    built once the missingness draw has settled each outcome."""
-    rng = substream(seed, "births", ci, ri, period)
-    u_true = cfg.u_true
-    order_cdf = _cdf([0.25, 0.45, 0.30])
-    size_cdf = {1: _cdf(cfg.size_given_lbw), 0: _cdf(cfg.size_given_normal)}
-    out = []
-    for bi in range(cfg.births_per_cluster):
-        age = int(rng.integers(15, 45))
-        order = _choice(rng, (1, 2, 3), order_cdf)
-        wealth = 1 + int(rng.binomial(4, _sigmoid(0.5 * ses)))
-        urban = int(rng.random() < urban_frac)
-        educ = int(rng.binomial(2, educ_mean / 2.0))
-        boy = int(rng.random() < 0.5)
-        married = int(rng.random() < 0.85)
-        antenatal = int(rng.random() < min(0.9, 0.35 + 0.3 * _sigmoid(ses)))
-        child_age = int(rng.integers(0, 5))
-        multiple = int(rng.random() < cfg.multiple_birth_rate)
+    cfg, rng, cluster_id, low_prev, late, treated, alpha, covs, ses,
+) -> Dict[str, np.ndarray]:
+    """The cluster's births as ``BirthRecord`` field columns, each field
+    drawn for all of them in one ``rng`` call; the records are built once
+    the missingness draw has settled each outcome."""
+    coeffs, n = cfg.coefficients, cfg.births_per_cluster
 
-        x = np.array([age, age * age, order, order * order, wealth,
-                      urban, educ, boy, married, antenatal], dtype=float)
-        p = (coeffs.k0 + coeffs.k1 * low_prev + coeffs.k2 * late
-             + coeffs.k3 * treated + float(beta @ x) + alpha)
-        if u_true is not None:
-            pu = 0.5 + u_true.p1 / 100.0 * low_prev
-            u = int(rng.random() < pu)
-            p += u_true.lam * u
-        p = float(min(max(p, CLIP_BOUNDS[0]), CLIP_BOUNDS[1]))
-        lbw = int(rng.random() < p)
+    def flag(p):
+        return (rng.random(n) < p).astype(np.int64)
 
-        # reported size is informative for the outcome
-        size = _choice(rng, ("Small", "Average", "Large"), size_cdf[lbw])
-        reported = (None if rng.random() < cfg.missing_size_rate
-                    else BirthSize(size))
+    age = rng.integers(15, 45, n)
+    order = rng.choice((1, 2, 3), n, p=(0.25, 0.45, 0.30))
+    wealth = 1 + rng.binomial(4, _sigmoid(0.5 * ses), n)
+    urban = flag(covs["urban"])
+    educ = rng.binomial(2, covs["mother_education"] / 2.0, n)
+    boy = flag(0.5)
+    married = flag(0.85)
+    antenatal = flag(min(0.9, 0.35 + 0.3 * _sigmoid(ses)))
+    child_age = rng.integers(0, 5, n)
+    multiple = flag(cfg.multiple_birth_rate)
 
-        out.append(dict(
-            child_id=f"{cluster.cluster_id}-B{bi:04d}",
-            cluster_id=cluster.cluster_id,
-            mother_age_years=age, birth_order_code=order, wealth_index=wealth,
-            urban=urban, mother_education=educ, child_is_boy=boy,
-            married=married, antenatal=antenatal, reported_size=reported,
-            multiple_birth=multiple, child_age_years=child_age, lbw=lbw,
-        ))
-    return out
+    x = np.column_stack([age, age * age, order, order * order, wealth,
+                         urban, educ, boy, married, antenatal]).astype(float)
+    p = (coeffs.k0 + coeffs.k1 * low_prev + coeffs.k2 * late
+         + coeffs.k3 * treated + x @ np.array(coeffs.beta) + alpha)
+    if cfg.u_true is not None:
+        pu = 0.5 + cfg.u_true.p1 / 100.0 * low_prev
+        p += cfg.u_true.lam * flag(pu)
+    lbw = flag(np.clip(p, *CLIP_BOUNDS))
+
+    # reported size is informative for the outcome
+    size = np.empty(n, dtype=np.int64)
+    for outcome, probs in ((1, cfg.size_given_lbw), (0, cfg.size_given_normal)):
+        drawn = lbw == outcome
+        size[drawn] = rng.choice(3, drawn.sum(), p=probs)
+    size[rng.random(n) < cfg.missing_size_rate] = 3
+
+    return dict(
+        child_id=np.array([f"{cluster_id}-B{bi:04d}" for bi in range(n)]),
+        cluster_id=np.full(n, cluster_id),
+        mother_age_years=age, birth_order_code=order, wealth_index=wealth,
+        urban=urban, mother_education=educ, child_is_boy=boy,
+        married=married, antenatal=antenatal, reported_size=_SIZES[size],
+        multiple_birth=multiple, child_age_years=child_age, lbw=lbw,
+    )
 
 
-def _apply_missingness(cfg, seed, births: List[Dict]) -> None:
-    """Blank the outcome (``lbw``) of the birth field dicts in place with
-    the configured mechanism; neither mechanism looks at the outcome
-    itself, so missingness is at random by design."""
+def _apply_missingness(cfg, seed, columns: Dict[str, np.ndarray]) -> None:
+    """Blank the outcome column (``lbw``) in place with the configured
+    mechanism; neither mechanism looks at the outcome itself, so
+    missingness is at random by design."""
     if cfg.missingness == "none" or cfg.missing_rate == 0.0:
         return
     rng = substream(seed, "missingness")
+    n = len(columns["lbw"])
     if cfg.missingness == "mcar":
-        miss = rng.random(len(births)) < cfg.missing_rate
+        miss = rng.random(n) < cfg.missing_rate
     else:
-        logits = np.array([
-            -0.35 * (b["wealth_index"] - 3) - 0.4 * b["urban"]
-            - 0.3 * b["mother_education"] + 0.25 * (b["birth_order_code"] - 2)
-            for b in births
-        ])
+        logits = (-0.35 * (columns["wealth_index"] - 3) - 0.4 * columns["urban"]
+                  - 0.3 * columns["mother_education"]
+                  + 0.25 * (columns["birth_order_code"] - 2))
         intercept = _calibrate_intercept(logits, cfg.missing_rate)
         prob = 1.0 / (1.0 + np.exp(-(logits + intercept)))
-        miss = rng.random(len(births)) < prob
-    for b, drop in zip(births, miss):
-        if drop:
-            b["lbw"] = None
+        miss = rng.random(n) < prob
+    columns["lbw"] = np.where(miss, None, columns["lbw"])
 
 
 def gen_scenario(cfg: ScenarioConfig, seed: int, out_dir) -> Dict:

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from matchdid import cli
 from matchdid.config import PRESETS, load_config
 from matchdid.errors import ConvergenceError
+from matchdid.ingest import filter_births, read_births
 
 QUICK_CONFIG = """
 [model]
@@ -111,6 +112,10 @@ class TestExitCodes:
         ("[model]\nimputations = 1\n", "imputations M must be >= 2"),
         ("[model]\ncutoff_low = 0.5\n", "cutoffs must satisfy 0 <= low < high"),
         ("[scenario]\nmissing_rate = 1.5\n", "missing_rate must be in [0, 1)"),
+        ("[scenario]\nmultiple_birth_rate = 1.5\n",
+         "multiple_birth_rate must be in [0, 1]"),
+        ("[scenario]\nmissing_size_rate = -0.2\n",
+         "missing_size_rate must be in [0, 1]"),
         ("imputations = 3\n", "File contains no section headers"),
         ("[model]\nimputations = 3\nimputations = 4\n",
          "option 'imputations' in section 'model' already exists"),
@@ -146,6 +151,31 @@ class TestExitCodes:
         code = run_cli("fit", "--config", cfg_path, "--out-dir", out)
         assert code == 2
         assert "imputations.csv" in capsys.readouterr().err
+
+    def test_filters_removing_every_birth_is_data_error(self, finished,
+                                                        tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        births, _ = read_births(out / "births.csv")
+        kept, counts = filter_births(births)
+        path = tmp_path / "nobody.ini"
+        path.write_text(QUICK_CONFIG + "\n[filters]\nmax_child_age = -1\n")
+        assert run_cli("impute", "--config", path, "--out-dir", out) == 2
+        assert (f"of {counts.total_in} read, {counts.multiple_births} are "
+                f"multiple births, {counts.missing_reported_size} more have "
+                f"no reported size, and [filters] removed the other "
+                f"{len(kept)}") in capsys.readouterr().err
+
+    def test_only_multiple_births_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "twins.ini"
+        path.write_text(QUICK_CONFIG.replace(
+            "[scenario]\n", "[scenario]\nmultiple_birth_rate = 1\n"))
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", path, "--out-dir", out) == 0
+        assert run_cli("pipeline", "--config", path, "--out-dir", out) == 2
+        assert ("of 720 read, 720 are multiple births, 0 more have no "
+                "reported size, and [filters] removed the other 0"
+                ) in capsys.readouterr().err
 
     def test_match_card_before_classify_is_data_error(self, workdir, tmp_path,
                                                       capsys):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,10 @@ class TestConfig:
             ScenarioConfig(missingness="weird")
         with pytest.raises(DataValidationError):
             ScenarioConfig(early_year=1999)
+        with pytest.raises(DataValidationError, match="multiple_birth_rate"):
+            ScenarioConfig(multiple_birth_rate=1.5)
+        with pytest.raises(DataValidationError, match="missing_size_rate"):
+            ScenarioConfig(missing_size_rate=-0.2)
 
 
 class TestDeterminism:
@@ -40,6 +46,28 @@ class TestDeterminism:
         gen_scenario(cfg, 1, a)
         gen_scenario(cfg, 2, b)
         assert (a / "births.csv").read_bytes() != (b / "births.csv").read_bytes()
+
+    def test_cluster_files_pinned(self, tmp_path):
+        # the benchmark's quickstart scenario: the births substreams are
+        # apart from the region and cluster ones, so no change to the birth
+        # draws may move these files, nor the pairing and selection that
+        # read them
+        cfg = ScenarioConfig(n_countries=3, regions_per_country=12,
+                             births_per_cluster=25, covariate_imbalance=0.05,
+                             decline_fraction=0.5, stable_high_fraction=0.5,
+                             missingness="mcar", missing_rate=0.3)
+        gen_scenario(cfg, 1, tmp_path)
+        pinned = {
+            "clusters.csv": "64a0b265697b0077d059ba2a827a5030"
+                            "e755de79ac67569e9158e2f5241267d9",
+            "prevalence.csv": "4b946460a3e9605bdd5930429f54e915"
+                              "82c752ffb15007d4b7c70ce46535c2d8",
+            "truth.json": "5fb5d8a19a8396bb6ace4218562d73ef"
+                          "2326b7488bd11614179ff54a62f6238e",
+        }
+        for name, digest in pinned.items():
+            actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert actual == digest, name
 
 
 class TestScenarioContents:
@@ -169,3 +197,66 @@ class TestOutcomeModel:
         rate_b = np.mean([x.lbw for x in b.births if x.lbw is not None])
         # U adds lam * P(U=1) ~ 0.04 on average
         assert rate_b > rate_a + 0.02
+
+
+def assert_frequencies(values, probs, z=4.0):
+    """Every value is one of ``probs``' keys, and each key's count lies
+    within ``z`` binomial standard deviations of ``len(values) * p``."""
+    n, counts = len(values), Counter(values)
+    assert set(counts) <= set(probs), set(counts) - set(probs)
+    for value, p in probs.items():
+        bound = z * math.sqrt(n * p * (1.0 - p))
+        assert abs(counts[value] - n * p) <= bound, (value, counts[value], n * p)
+
+
+class TestBirthColumns:
+    """Each birth column whose probabilities the config fixes, or
+    clusters.csv records, against them: one large cluster pair, every
+    count within four binomial standard deviations."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        cfg = ScenarioConfig(n_countries=1, regions_per_country=1,
+                             births_per_cluster=20000,
+                             multiple_birth_rate=0.1, missing_size_rate=0.2)
+        return cfg, generate(cfg, seed=21)
+
+    def test_config_fixed_columns(self, scenario):
+        births = scenario[1].births
+        assert len(births) == 40000
+        assert_frequencies([b.mother_age_years for b in births],
+                           dict.fromkeys(range(15, 45), 1 / 30))
+        assert_frequencies([b.child_age_years for b in births],
+                           dict.fromkeys(range(5), 1 / 5))
+        assert_frequencies([b.birth_order_code for b in births],
+                           {1: 0.25, 2: 0.45, 3: 0.30})
+        assert_frequencies([b.child_is_boy for b in births], {0: 0.5, 1: 0.5})
+        assert_frequencies([b.married for b in births], {0: 0.15, 1: 0.85})
+        assert_frequencies([b.multiple_birth for b in births],
+                           {0: 0.9, 1: 0.1})
+        assert_frequencies([b.reported_size is None for b in births],
+                           {False: 0.8, True: 0.2})
+
+    def test_cluster_recorded_columns(self, scenario):
+        data = scenario[1]
+        for cluster in data.clusters:
+            births = [b for b in data.births
+                      if b.cluster_id == cluster.cluster_id]
+            assert len(births) == 20000
+            urban = cluster.covariates["urban"]
+            assert_frequencies([b.urban for b in births],
+                               {0: 1.0 - urban, 1: urban})
+            q = cluster.covariates["mother_education"] / 2.0
+            assert_frequencies([b.mother_education for b in births],
+                               {0: (1.0 - q) ** 2, 1: 2.0 * q * (1.0 - q),
+                                2: q * q})
+
+    def test_reported_size_given_outcome(self, scenario):
+        cfg, data = scenario
+        for lbw, probs in ((1, cfg.size_given_lbw),
+                           (0, cfg.size_given_normal)):
+            sizes = [b.reported_size.value for b in data.births
+                     if b.lbw == lbw and b.reported_size is not None]
+            assert len(sizes) > 1000
+            assert_frequencies(sizes, dict(zip(("Small", "Average", "Large"),
+                                               probs)))
