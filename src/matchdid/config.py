@@ -63,6 +63,9 @@ class MatchingSettings:
     caliper_width: Optional[float] = None
     caliper_penalty: Optional[float] = None
 
+    def __post_init__(self):
+        self.caliper()          # CaliperSpec refuses impossible values
+
     def caliper(self) -> CaliperSpec:
         return CaliperSpec(width=self.caliper_width, penalty=self.caliper_penalty)
 

@@ -1,9 +1,11 @@
 """Geographic pairing of early and late survey clusters within a country.
 
 Distances are rank-based Mahalanobis distances on (latitude, longitude),
-with a soft propensity-score caliper penalty; pairs are chosen by an exact
-minimum-cost assignment so the total distance over min(n_early, n_late)
-disjoint pairs is as small as possible.
+with a soft propensity-score caliper penalty. The propensity is a logistic
+regression with Normal(0, 100) priors (standard deviation 100), fitted by
+the imputation model's Newton (``impute.penalized_logistic_mode``). Pairs
+are chosen by an exact minimum-cost assignment so the total distance over
+min(n_early, n_late) disjoint pairs is as small as possible.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from scipy.optimize import linear_sum_assignment
 
 from ._util import fmt, optional, read_csv, write_csv
 from .errors import DataValidationError
+from . import impute
 from .model import ClusterPair, ClusterRecord, GeoPoint, PairCategory
 
 EARTH_RADIUS_KM = 6371.0
-PROPENSITY_MAX_ITER = 50    # Newton steps of the propensity fit
 
 _log = logging.getLogger(__name__)
 
@@ -47,6 +49,12 @@ class CaliperSpec:
     width: Optional[float] = None
     penalty: Optional[float] = None
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is not None and not 0.0 <= value < math.inf:
+                raise DataValidationError(
+                    f"caliper {name} must be finite and >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -67,39 +75,6 @@ class DistanceMatrix:
             raise DataValidationError("distance matrix shape mismatch")
         if not np.all(np.isfinite(self.values)):
             raise DataValidationError("distance matrix entries must be finite")
-
-
-def _logistic_propensity(coords: np.ndarray, is_late: np.ndarray) -> np.ndarray:
-    """Ridge-stabilized logistic regression of late-period membership on
-    raw (lat, lon); the ridge keeps perfectly separated geographies finite."""
-    X = np.column_stack([np.ones(len(coords)), coords])
-    y = is_late.astype(float)
-    ridge = 1e-4
-    beta = np.zeros(X.shape[1])
-    for _ in range(PROPENSITY_MAX_ITER):
-        eta = np.clip(X @ beta, -35.0, 35.0)
-        p = 1.0 / (1.0 + np.exp(-eta))
-        grad = X.T @ (y - p) - ridge * beta
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        hess = (X * w[:, None]).T @ X + ridge * np.eye(X.shape[1])
-        step = np.linalg.solve(hess, grad)
-        # step halving on the penalized log-likelihood
-        def obj(b):
-            e = np.clip(X @ b, -35.0, 35.0)
-            return float(y @ e - np.logaddexp(0.0, e).sum() - 0.5 * ridge * b @ b)
-        base_obj, scale = obj(beta), 1.0
-        while scale > 1e-8 and obj(beta + scale * step) < base_obj:
-            scale *= 0.5
-        beta = beta + scale * step
-        if np.max(np.abs(grad)) < 1e-10:
-            break
-    else:
-        _log.warning(
-            "propensity fit stopped at its cap of %d Newton iterations "
-            "with max|gradient| %.3g", PROPENSITY_MAX_ITER,
-            np.max(np.abs(grad)))
-    eta = np.clip(X @ beta, -35.0, 35.0)
-    return 1.0 / (1.0 + np.exp(-eta))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -144,9 +119,17 @@ def rank_mahalanobis(
     diff = ranks[:n_early, None, :] - ranks[None, n_early:, :]
     base = np.sqrt(np.maximum(np.einsum("ijk,kl,ijl->ij", diff, cov_inv, diff), 0.0))
 
-    is_late = np.zeros(len(coords), dtype=bool)
-    is_late[n_early:] = True
-    propensity = _logistic_propensity(coords, is_late)
+    # late-period membership on raw (lat, lon); the Normal(0, 100) priors
+    # keep perfectly separated geographies finite
+    X = np.column_stack([np.ones(len(coords)), coords])
+    is_late = np.repeat([0.0, 1.0], [n_early, len(late)])
+    fit = impute.penalized_logistic_mode(X, is_late, np.full(3, 100.0),
+                                         impute.normal_prior, "propensity")
+    if not fit.converged:
+        _log.warning("propensity fit stopped at its cap of %d Newton steps "
+                     "with max|gradient| %.3g", impute.MAX_NEWTON_ITER,
+                     fit.max_gradient)
+    propensity = impute._sigmoid(X @ fit.coefficients)
     p_early, p_late = propensity[:n_early], propensity[n_early:]
 
     width = caliper.width

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +47,10 @@ _ROW_COLUMNS = ("intercept",) + COVARIATE_REGRESSORS + ("size_small",
                                                         "size_large")
 _ORDER = [_ROW_COLUMNS.index(name) for name in IMPUTATION_COLUMNS]
 
-MAX_NEWTON_ITER = 100
+MAX_NEWTON_ITER = 100      # Newton steps of one penalized logistic fit
 GRAD_TOL = 1e-8
+
+_log = logging.getLogger(__name__)
 
 
 def design_matrix(records: Sequence[BirthRecord]) -> np.ndarray:
@@ -71,12 +74,9 @@ def prior_scales(X: np.ndarray) -> np.ndarray:
     scales[0] = 10.0
     for j in range(1, X.shape[1]):
         col = X[:, j]
-        values = set(np.unique(col)) if len(col) else set()
-        if len(col) == 0 or values <= {0.0, 1.0}:
-            scales[j] = 2.5
-        else:
-            sd = float(col.std(ddof=1)) if len(col) > 1 else 0.0
-            scales[j] = 2.5 / (2.0 * sd) if sd > 0 else 2.5
+        binary = set(np.unique(col)) <= {0.0, 1.0}
+        sd = float(col.std(ddof=1)) if len(col) > 1 else 0.0
+        scales[j] = 2.5 / (2.0 * sd) if sd > 0 and not binary else 2.5
     return scales
 
 
@@ -105,89 +105,100 @@ def _sigmoid(eta):
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -35.0, 35.0)))
 
 
-def _objective(beta, X, y, scales):
-    eta = np.clip(X @ beta, -35.0, 35.0)
-    loglik = float(y @ eta - np.logaddexp(0.0, eta).sum()) if len(y) else 0.0
-    logprior = float(np.sum(-np.log(np.pi * scales)
-                            - np.log1p((beta / scales) ** 2)))
-    return loglik + logprior
-
-
-def _grad_neghess(beta, X, y, scales):
-    p = _sigmoid(X @ beta) if len(y) else np.zeros(0)
-    grad_lik = X.T @ (y - p) if len(y) else np.zeros(len(beta))
+def cauchy_prior(beta, scales):
+    """Independent Cauchy(0, scale) priors: the log density at ``beta``, its
+    gradient and the diagonal of its negative Hessian."""
     denom = scales ** 2 + beta ** 2
-    grad_prior = -2.0 * beta / denom
+    logdensity = float(np.sum(-np.log(np.pi * scales)
+                              - np.log1p((beta / scales) ** 2)))
+    return logdensity, -2.0 * beta / denom, 2.0 * (scales ** 2 - beta ** 2) / denom ** 2
+
+
+def normal_prior(beta, scales):
+    """Independent Normal(0, scale) priors (standard deviation ``scales``),
+    returned as by ``cauchy_prior``."""
+    z = beta / scales
+    logdensity = float(np.sum(-0.5 * z ** 2 - np.log(np.sqrt(2.0 * np.pi) * scales)))
+    return logdensity, -z / scales, 1.0 / scales ** 2
+
+
+# with no rows, X is (0, p) and the likelihood terms below are exact zeros
+def _objective(beta, X, y, scales, prior):
+    eta = np.clip(X @ beta, -35.0, 35.0)
+    loglik = float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return loglik + prior(beta, scales)[0]
+
+
+def _grad_neghess(beta, X, y, scales, prior):
+    p = _sigmoid(X @ beta)
+    _, grad_prior, neg_hess_prior = prior(beta, scales)
     w = p * (1.0 - p)
-    neg_hess_lik = (X * w[:, None]).T @ X if len(y) else np.zeros((len(beta),) * 2)
-    neg_hess_prior = np.diag(2.0 * (scales ** 2 - beta ** 2) / denom ** 2)
-    return grad_lik + grad_prior, neg_hess_lik + neg_hess_prior
+    return (X.T @ (y - p) + grad_prior,
+            (X * w[:, None]).T @ X + np.diag(neg_hess_prior))
 
 
-def penalized_logistic_mode(
-    X: np.ndarray, y: np.ndarray, scales: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Maximize log-likelihood + Cauchy log-priors by Newton iteration
-    with step halving; returns (mode, Laplace covariance).
+class LogisticMode(NamedTuple):
+    coefficients: np.ndarray    # the mode, or the last iterate at the cap
+    covariance: np.ndarray      # inverse negative Hessian at coefficients
+    converged: bool             # max_gradient < GRAD_TOL
+    max_gradient: float         # max|gradient| at coefficients, rescaled
+
+
+def penalized_logistic_mode(X: np.ndarray, y: np.ndarray, scales: np.ndarray,
+                            prior, label: str) -> LogisticMode:
+    """The package's one logistic Newton: maximize log-likelihood +
+    ``prior``'s log density by Newton iteration with step halving, for at
+    most ``MAX_NEWTON_ITER`` steps; returns the mode, the Laplace covariance
+    there and whether max|gradient| fell below ``GRAD_TOL``.
+    ``prior(beta, scales)`` is ``cauchy_prior`` (the imputation model) or
+    ``normal_prior`` (the ``geomatch`` propensity); ``label`` names the fit
+    in its one debug log record and in errors.
 
     Columns are rms-rescaled internally (an exact reparameterization; the
-    Cauchy scales rescale with them) so the gradient tolerance is applied
+    prior scales rescale with them) so the gradient tolerance is applied
     on O(1) columns; raw quadratic terms like age^2 would otherwise pin
     the attainable gradient norm above the tolerance.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    if len(X):
-        col_scale = np.sqrt(np.mean(X * X, axis=0))
-        col_scale[col_scale < 1e-12] = 1.0
-    else:
-        col_scale = np.ones(X.shape[1])
+    col_scale = np.sqrt(np.sum(X * X, axis=0) / max(len(X), 1))
+    col_scale[col_scale < 1e-12] = 1.0
     X = X / col_scale
     scales = scales * col_scale
     beta = np.zeros(X.shape[1])
-    trace = []
-    for iteration in range(MAX_NEWTON_ITER):
-        grad, neg_hess = _grad_neghess(beta, X, y, scales)
-        grad_norm = float(np.max(np.abs(grad)))
-        trace.append(f"iter {iteration}: max|grad|={grad_norm:.3e}")
-        if grad_norm < GRAD_TOL:
+    for steps in range(MAX_NEWTON_ITER + 1):
+        grad, neg_hess = _grad_neghess(beta, X, y, scales, prior)
+        max_gradient = float(np.max(np.abs(grad)))
+        if max_gradient < GRAD_TOL or steps == MAX_NEWTON_ITER:
             break
         try:
             step = np.linalg.solve(neg_hess, grad)
         except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "singular curvature in imputation model fit\n" + "\n".join(trace)
-            ) from None
-        base = _objective(beta, X, y, scales)
+            raise ConvergenceError(f"singular curvature in the {label} fit "
+                                   f"after {steps} Newton steps") from None
+        base = _objective(beta, X, y, scales, prior)
         # near the mode the quadratic gain sits below the float resolution
         # of the objective, so only measurable worsening triggers halving
         slack = 1e-9 * (1.0 + abs(base))
         scale = 1.0
-        while (scale > 1e-10
-               and _objective(beta + scale * step, X, y, scales) < base - slack):
+        while (scale > 1e-10 and _objective(beta + scale * step, X, y, scales,
+                                            prior) < base - slack):
             scale *= 0.5
         beta = beta + scale * step
-    else:
-        raise ConvergenceError(
-            f"imputation model did not converge in {MAX_NEWTON_ITER} iterations\n"
-            + "\n".join(trace)
-        )
+    converged = max_gradient < GRAD_TOL
+    _log.debug("%s fit: %d Newton steps, max|gradient| %.3e, %s", label,
+               steps, max_gradient, "converged" if converged else "not converged")
 
-    _, neg_hess = _grad_neghess(beta, X, y, scales)
     try:
         chol = np.linalg.cholesky(neg_hess)
     except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            "negative Hessian at the mode is not positive definite"
-        ) from None
+        raise ConvergenceError(f"negative Hessian of the {label} fit is not "
+                               "positive definite") from None
     inv_chol = np.linalg.solve(chol, np.eye(len(beta)))
     covariance = inv_chol.T @ inv_chol
     covariance = (covariance + covariance.T) / 2.0
     # undo the internal column scaling
-    beta = beta / col_scale
-    covariance = covariance / np.outer(col_scale, col_scale)
-    return beta, covariance
+    return LogisticMode(beta / col_scale,
+                        covariance / np.outer(col_scale, col_scale),
+                        converged, max_gradient)
 
 
 def fit_imputation_model(records: Sequence[BirthRecord]) -> ImputationModel:
@@ -206,9 +217,14 @@ def fit_imputation_model(records: Sequence[BirthRecord]) -> ImputationModel:
             "need at least one observed record of each outcome class"
         )
     scales = prior_scales(X)
-    beta, covariance = penalized_logistic_mode(X, y, scales)
-    return ImputationModel(coefficients=beta, covariance=covariance,
-                           prior_scales=scales)
+    fit = penalized_logistic_mode(X, y, scales, cauchy_prior,
+                                  "imputation model")
+    if not fit.converged:
+        raise ConvergenceError(
+            f"imputation model did not converge in {MAX_NEWTON_ITER} Newton steps "
+            f"(max|gradient| {fit.max_gradient:.3e})")
+    return ImputationModel(coefficients=fit.coefficients,
+                           covariance=fit.covariance, prior_scales=scales)
 
 
 def draw_imputations(

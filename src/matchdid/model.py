@@ -306,8 +306,11 @@ class ModelSpec:
             )
         if self.imputations < 2:
             raise DataValidationError("imputations M must be >= 2")
-        if self.highhigh_gap <= 0 or self.balance_threshold <= 0:
-            raise DataValidationError("gap and balance threshold must be positive")
+        if not (0.0 < self.highhigh_gap < math.inf
+                and 0.0 < self.balance_threshold < math.inf):
+            raise DataValidationError(
+                "gap and balance threshold must be finite and positive, got "
+                f"{self.highhigh_gap} and {self.balance_threshold}")
 
 
 def validate_u_probabilities(p1: float, p2: float) -> None:

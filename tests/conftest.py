@@ -21,6 +21,14 @@ from matchdid.model import (
 from matchdid.synth import ScenarioConfig, generate
 
 
+# acceptance criterion 7's scenario (tests/test_acceptance.py::test_07)
+COVERAGE_SCENARIO = ScenarioConfig(
+    n_countries=4, regions_per_country=12, births_per_cluster=12,
+    covariate_imbalance=0.05, decline_fraction=0.5,
+    stable_high_fraction=0.5, missingness="mcar", missing_rate=0.15,
+)
+
+
 def make_cluster(cluster_id="c1", country="C00", survey_year=2003,
                  role=Role.EARLY, lat=1.0, lon=10.0, covariates=None,
                  pfpr=None):

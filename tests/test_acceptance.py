@@ -40,6 +40,8 @@ from matchdid.synth import ScenarioConfig, generate
 from matchdid.config import PRESETS, RunConfig
 import dataclasses
 
+from conftest import COVERAGE_SCENARIO
+
 
 def _accept(name, ok, detail=""):
     print(f"\nACCEPT {name}: {'PASS' if ok else 'FAIL'}"
@@ -294,11 +296,7 @@ def test_06_imputation_engine_bias():
 
 
 def test_07_end_to_end_coverage():
-    cfg = ScenarioConfig(
-        n_countries=4, regions_per_country=12, births_per_cluster=12,
-        covariate_imbalance=0.05, decline_fraction=0.5,
-        stable_high_fraction=0.5, missingness="mcar", missing_rate=0.15,
-    )
+    cfg = COVERAGE_SCENARIO
     truth = cfg.coefficients.k1
     assert truth == -0.03
     covered = 0

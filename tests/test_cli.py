@@ -116,6 +116,20 @@ class TestExitCodes:
          "multiple_birth_rate must be in [0, 1]"),
         ("[scenario]\nmissing_size_rate = -0.2\n",
          "missing_size_rate must be in [0, 1]"),
+        ("[matching]\ncaliper_penalty = -5\n",
+         "caliper penalty must be finite and >= 0, got -5.0"),
+        ("[matching]\ncaliper_penalty = inf\n",
+         "caliper penalty must be finite and >= 0, got inf"),
+        ("[matching]\ncaliper_width = nan\n",
+         "caliper width must be finite and >= 0, got nan"),
+        ("[matching]\ncaliper_width = -1\n",
+         "caliper width must be finite and >= 0, got -1.0"),
+        ("[model]\nbalance_threshold = nan\n",
+         "gap and balance threshold must be finite and positive"),
+        ("[model]\nbalance_threshold = inf\n",
+         "gap and balance threshold must be finite and positive"),
+        ("[model]\nhighhigh_gap = nan\n",
+         "gap and balance threshold must be finite and positive"),
         ("imputations = 3\n", "File contains no section headers"),
         ("[model]\nimputations = 3\nimputations = 4\n",
          "option 'imputations' in section 'model' already exists"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.stats import rankdata
 
-from matchdid import geomatch
+from matchdid import geomatch, impute
 from matchdid.errors import DataValidationError
 from matchdid.geomatch import (
     CaliperSpec,
@@ -21,8 +21,9 @@ from matchdid.geomatch import (
     write_pairs_csv,
 )
 from matchdid.model import GeoPoint, Role
+from matchdid.synth import generate
 
-from conftest import make_cluster
+from conftest import COVERAGE_SCENARIO, make_cluster
 
 
 class TestHaversine:
@@ -140,13 +141,30 @@ class TestRankMahalanobis:
         caplog.set_level(logging.WARNING, logger="matchdid.geomatch")
         rank_mahalanobis(early, late)
         assert caplog.records == []
-        monkeypatch.setattr(geomatch, "PROPENSITY_MAX_ITER", 1)
-        rank_mahalanobis(early, late)
+        monkeypatch.setattr(impute, "MAX_NEWTON_ITER", 1)
+        d = rank_mahalanobis(early, late)
         [record] = caplog.records
         assert record.name == "matchdid.geomatch"
         assert record.getMessage().startswith(
-            "propensity fit stopped at its cap of 1 Newton iterations "
+            "propensity fit stopped at its cap of 1 Newton steps "
             "with max|gradient| ")
+        # the last iterate still gives propensities
+        assert np.all((d.propensity_early > 0) & (d.propensity_early < 1))
+
+    def test_coverage_scenario_propensity_converges(self, caplog):
+        # on raw (lat, lon) columns the gradient of this fit stalls at
+        # about 1e-10; the shared Newton tests it on rms-rescaled columns
+        data = generate(COVERAGE_SCENARIO, 7004)
+        early, late = ([c for c in sorted(data.clusters,
+                                          key=lambda c: c.cluster_id)
+                        if c.country == "C01" and c.role is role]
+                       for role in (Role.EARLY, Role.LATE))
+        caplog.set_level(logging.DEBUG, logger="matchdid")
+        rank_mahalanobis(early, late)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage().startswith("propensity fit: ")
+        assert record.getMessage().endswith(", converged")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.integers(-3, 3).map(float),

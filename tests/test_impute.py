@@ -1,27 +1,36 @@
 import csv
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from matchdid import impute
 from matchdid._util import fmt
-from matchdid.errors import DataValidationError
+from matchdid.errors import ConvergenceError, DataValidationError
 from matchdid.impute import (
+    GRAD_TOL,
     IMPUTATION_COLUMNS,
     ImputedSet,
+    cauchy_prior,
     design_matrix,
     draw_imputations,
     fit_imputation_model,
+    normal_prior,
     penalized_logistic_mode,
     prior_scales,
     read_imputations_csv,
     write_imputations_csv,
+    _grad_neghess,
     _objective,
 )
 from matchdid.model import BirthSize, ModelSpec
 
 from conftest import make_birth
+
+PRIORS = [cauchy_prior, normal_prior]
 
 
 class TestDesign:
@@ -83,27 +92,67 @@ class TestFit:
         with pytest.raises(DataValidationError):
             fit_imputation_model(records)
 
-    def test_separated_data_stays_finite(self):
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_separated_data_stays_finite(self, prior):
         # perfect separation on one binary predictor
         X = np.array([[1.0, 0.0]] * 8 + [[1.0, 1.0]] * 8)
         y = np.array([0.0] * 8 + [1.0] * 8)
-        beta, cov = penalized_logistic_mode(X, y, np.array([10.0, 2.5]))
-        assert np.all(np.isfinite(beta))
-        assert abs(beta[1]) < 12.0
-        assert np.all(np.isfinite(cov))
+        fit = penalized_logistic_mode(X, y, np.array([10.0, 2.5]), prior,
+                                      "separated")
+        assert fit.converged
+        assert np.all(np.isfinite(fit.coefficients))
+        assert abs(fit.coefficients[1]) < 12.0
+        assert np.all(np.isfinite(fit.covariance))
 
-    def test_mode_matches_grid_search(self):
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_mode_matches_grid_search(self, prior):
         # single predictor, no intercept: grid search the penalized objective
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, 40)
         y = (rng.random(40) < 1 / (1 + np.exp(-1.2 * x))).astype(float)
         X = x[:, None]
         scales = np.array([2.5])
-        beta, _ = penalized_logistic_mode(X, y, scales)
+        fit = penalized_logistic_mode(X, y, scales, prior, "grid")
         grid = np.arange(-6.0, 6.0, 1e-4)
-        values = [_objective(np.array([b]), X, y, scales) for b in grid]
+        values = [_objective(np.array([b]), X, y, scales, prior) for b in grid]
         best = grid[int(np.argmax(values))]
-        assert beta[0] == pytest.approx(best, abs=1e-4)
+        assert fit.coefficients[0] == pytest.approx(best, abs=1e-4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 4),
+           st.sampled_from(PRIORS))
+    def test_mode_is_a_local_maximum(self, seed, n, p, prior):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0.0, 1.0, (n, p)) * rng.uniform(0.1, 30.0, p)
+        y = (rng.random(n) < 0.5).astype(float)
+        scales = rng.uniform(0.5, 10.0, p)
+        fit = penalized_logistic_mode(X, y, scales, prior, "random")
+        beta = fit.coefficients
+        # the tolerance holds on the rms-rescaled columns
+        grad, _ = _grad_neghess(beta, X, y, scales, prior)
+        assert fit.converged
+        assert np.max(np.abs(grad / np.sqrt(np.mean(X * X, axis=0)))) < GRAD_TOL
+        base = _objective(beta, X, y, scales, prior)
+        for j in range(p):
+            for h in (-1e-4, 1e-4):
+                moved = beta.copy()
+                moved[j] += h
+                assert (_objective(moved, X, y, scales, prior)
+                        <= base + 1e-12 * (1.0 + abs(base)))
+
+    def test_each_fit_logs_one_debug_record(self, toy, monkeypatch, caplog):
+        observed, _ = toy
+        caplog.set_level(logging.DEBUG, logger="matchdid.impute")
+        fit_imputation_model(observed)
+        monkeypatch.setattr(impute, "MAX_NEWTON_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match="did not converge in 1 Newton steps"):
+            fit_imputation_model(observed)
+        converged, capped = [r.getMessage() for r in caplog.records]
+        assert re.fullmatch(r"imputation model fit: \d+ Newton steps, "
+                            r"max\|gradient\| \S+, converged", converged)
+        assert re.fullmatch(r"imputation model fit: 1 Newton steps, "
+                            r"max\|gradient\| \S+, not converged", capped)
 
     def test_covariance_spd(self, analysis):
         _, model, _ = analysis
