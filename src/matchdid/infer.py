@@ -5,11 +5,12 @@ imputed data sets.
 The REML criterion is profiled over the variance ratio theta =
 sigma0^2/sigma1^2. On a cluster of size n_i, V^-1 = I - theta/(1 + theta
 n_i) J, so once per fit the outer products of the cluster totals are summed
-within each of the S cluster sizes, and all M replicates are fitted
-together. An evaluation forms the bordered matrix [X, y]'V^-1[X, y] from the
-S class sums, reads the criterion off its batched Cholesky factor (Bates and
-DebRoy, JMVA 2004) and its first two derivatives in log theta off the
-factor's inverse. Each replicate's optimum is found by a safeguarded Newton
+within each of the S cluster sizes. The M replicates are fitted together,
+in consecutive blocks of at most 64 (_BLOCK), so that the statistics held
+at once do not grow with M. An evaluation forms the bordered matrix [X,
+y]'V^-1[X, y] from the S class sums, reads the criterion off its batched
+Cholesky factor (Bates and DebRoy, JMVA 2004) and its first two derivatives
+in log theta off the factor's inverse. Each replicate's optimum is found by a safeguarded Newton
 iteration (Lindstrom and Bates, JASA 1988) from the best point of a scan, or
 from a given start when a sweep refits with an extra column.
 """
@@ -163,8 +164,11 @@ _LOG_THETA_LO, _LOG_THETA_HI = -15.5, 11.5
 _EDGE_TOL = 1e-9
 _STEP_TOL = 1e-10
 _MAX_STEPS = 100
-# Newton scores at most _CHUNK searching replicates a call; a scan fills _CHUNK rows
+# a scan scores up to _CHUNK rows a call, a few replicates at several points
 _CHUNK = 32
+# replicates fitted together; a replicate's fit is bit-independent of its
+# block, and 64 keeps the M = 50 refits of a quickstart sweep point in one
+_BLOCK = 64
 # share of u'u an extra column must keep off the span of X
 _COLLINEAR_TOL = 1e-9
 
@@ -342,14 +346,14 @@ class MixedModelData:
         in a bracket shrunk by its gradient's sign, by Newton's step in c =
         theta / (1 + theta n0) (n0 the smallest cluster size) or else in log
         theta, where convex and in the bracket, else by bisection; a step
-        past an end lands on it. A call takes up to _CHUNK searching ones.
-        Returns (u, criterion, steps, still going at _MAX_STEPS, evaluations)."""
+        past an end lands on it. Returns (u, criterion, steps, still going
+        at _MAX_STEPS, evaluations)."""
         m, n0, evals = len(u), self.sizes[0], 0
         lo, hi = np.full(m, _LOG_THETA_LO), np.full(m, _LOG_THETA_HI)
         best, steps = np.empty(m), np.zeros(m, dtype=np.int64)
         active = np.ones(m, dtype=bool)
         while (active & (steps < _MAX_STEPS)).any():
-            rows = np.flatnonzero(active & (steps < _MAX_STEPS))[:_CHUNK]
+            rows = np.flatnonzero(active & (steps < _MAX_STEPS))
             # while most rows are searching, all are scored, with no copy
             sub, pick = (slice(None), rows) if 2 * len(rows) > m else (rows, slice(None))
             f, g, h = (t[pick] for t in self._newton_terms(
@@ -375,9 +379,10 @@ class MixedModelData:
             active[rows[stop]] = False
         return u, best, steps, active, evals
 
-    def _search(self, stats, start=None) -> Tuple[np.ndarray, ...]:
+    def _search(self, stats, start, block) -> Tuple[np.ndarray, ...]:
         """``_newton`` from ``start`` or else from the best scan point, which
-        scores a few replicates at several points per call; logs its calls."""
+        scores a few replicates at several points per call; logs its calls
+        with ``block``, the name of the block searched."""
         m, scores = len(stats[0]), []
         if start is None:
             k = max(1, _CHUNK // max(m, 1))
@@ -389,12 +394,13 @@ class MixedModelData:
                                     axis=0)]
         u, best, steps, failed, evals = self._newton(
             np.clip(start, _LOG_THETA_LO, _LOG_THETA_HI), stats)
-        _log.debug("REML search of %d replicates: %d scan and %d Newton calls, at "
-                   "most %d steps", m, len(scores), evals, steps.max(initial=0))
+        _log.debug("REML search of %d replicates, %s: %d scan and %d Newton "
+                   "calls, at most %d steps", m, block, len(scores), evals,
+                   steps.max(initial=0))
         edge = (u < _LOG_THETA_LO + _EDGE_TOL) | (u > _LOG_THETA_HI - _EDGE_TOL)
         if not scores and edge.any():
             # from a start, it may stop at an end beside a lower minimum
-            again = self._search(tuple(a[edge] for a in stats))
+            again = self._search(tuple(a[edge] for a in stats), None, block)
             lower = again[1] < best[edge]
             rows = np.flatnonzero(edge)[lower]
             for a, b in zip((u, best, failed, edge), again):
@@ -406,7 +412,32 @@ class MixedModelData:
         """REML fits of the outcome vectors Y[0..M-1], in order. ``extra`` =
         (name, U) adds a regressor that differs by replicate: row i of the
         (M, n) array U goes with Y[i]. ``start``, a theta per replicate such as
-        an earlier fit's, replaces the scan; ``base`` is ``outcomes(Y)``."""
+        an earlier fit's, replaces the scan; ``base`` is ``outcomes(Y)``.
+
+        The replicates are fitted in consecutive blocks of _BLOCK, which
+        bounds the statistics held at once whatever M is; a replicate's fit
+        does not depend on its block."""
+        m, fits, unconverged = len(Y), [], 0
+        blocks = range(0, m, _BLOCK)
+        for b, lo in enumerate(blocks):
+            rows = slice(lo, lo + _BLOCK)
+            part, stuck = self._fit_block(
+                Y[rows], None if extra is None else (extra[0], extra[1][rows]),
+                None if start is None else start[rows],
+                None if base is None else tuple(a[rows] for a in base),
+                f"block {b + 1} of {len(blocks)}")
+            fits += part
+            unconverged += stuck
+        if unconverged:
+            _log.warning("%d of %d REML fits ended on the edge of the log "
+                         "variance-ratio range [%g, %g] or stopped before "
+                         "converging; they are marked not converged",
+                         unconverged, m, _LOG_THETA_LO, _LOG_THETA_HI)
+        return fits
+
+    def _fit_block(self, Y, extra, start, base,
+                   block) -> Tuple[List[MixedFit], int]:
+        """``fit`` of one block: its fits and how many did not converge."""
         names = self.names + (() if extra is None else (extra[0],))
         stats = self._stats(Y, extra, base)
         m, q = len(stats[0]), len(names)
@@ -421,15 +452,10 @@ class MixedModelData:
         search = stats if live.all() else tuple(a[live] for a in stats)
         if start is not None:
             start = np.log(np.fmax(np.asarray(start, float)[live], np.exp(_LOG_THETA_LO)))
-        u, best, stopped, edge = self._search(search, start)
+        u, best, stopped, edge = self._search(search, start, block)
         theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
         theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
         unconverged[live] = stopped | ((theta[live] > 0) & edge)
-        if unconverged.any():
-            _log.warning("%d of %d REML fits ended on the edge of the log "
-                         "variance-ratio range [%g, %g] or stopped before "
-                         "converging; they are marked not converged",
-                         unconverged.sum(), m, _LOG_THETA_LO, _LOG_THETA_HI)
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
         # the statistics are done with; freeing them here keeps the peak
         # memory of a fit at its search's
@@ -449,7 +475,7 @@ class MixedModelData:
                          sigma0_sq=float(theta[i] * sigma1_sq[i]),
                          sigma1_sq=float(sigma1_sq[i]), loglik=float(loglik[i]),
                          converged=not unconverged[i], theta=float(theta[i]))
-                for i in range(m)]
+                for i in range(m)], int(unconverged.sum())
 
 
 def fit_mixed_lpm(

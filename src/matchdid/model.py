@@ -282,8 +282,14 @@ class Coefficients:
     sigma1: float = 0.0
 
     def __post_init__(self):
-        if self.sigma0 < 0 or self.sigma1 < 0:
-            raise DataValidationError("variance components must be nonnegative")
+        fixed = (self.k0, self.k1, self.k2, self.k3, *self.beta)
+        if not all(math.isfinite(v) for v in fixed):
+            raise DataValidationError(
+                f"coefficients k0..k3 and beta must be finite, got {fixed}")
+        if not (0.0 <= self.sigma0 < math.inf and 0.0 <= self.sigma1 < math.inf):
+            raise DataValidationError(
+                "variance components must be finite and nonnegative, got "
+                f"{self.sigma0} and {self.sigma1}")
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,10 @@ class ScenarioConfig:
         if any(not 0.0 <= f <= 1.0 for f in fractions) or sum(fractions) > 1.0:
             raise DataValidationError("trajectory fractions must lie in [0, 1] "
                                       "and sum to at most 1")
+        for name in ("covariate_imbalance", "late_ses_drift"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataValidationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.missingness not in ("none", "mcar", "covariate"):
             raise DataValidationError(f"unknown missingness: {self.missingness}")
         for probs in (self.size_given_lbw, self.size_given_normal):

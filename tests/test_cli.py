@@ -124,6 +124,19 @@ class TestExitCodes:
          "caliper width must be finite and >= 0, got nan"),
         ("[matching]\ncaliper_width = -1\n",
          "caliper width must be finite and >= 0, got -1.0"),
+        ("[scenario]\nsigma0 = nan\n",
+         "variance components must be finite and nonnegative, got nan"),
+        ("[scenario]\nsigma0 = inf\n",
+         "variance components must be finite and nonnegative, got inf"),
+        ("[scenario]\nk1 = inf\n", "coefficients k0..k3 and beta must be finite"),
+        ("[scenario]\nk0 = nan\n", "coefficients k0..k3 and beta must be finite"),
+        ("[scenario]\nbeta = 0, nan, 0, 0, 0, 0, 0, 0, 0, 0\n",
+         "coefficients k0..k3 and beta must be finite"),
+        ("[scenario]\nlate_ses_drift = inf\n", "late_ses_drift must be finite, got inf"),
+        ("[scenario]\ncovariate_imbalance = inf\n",
+         "covariate_imbalance must be finite, got inf"),
+        ("[scenario]\ncovariate_imbalance = nan\n",
+         "covariate_imbalance must be finite, got nan"),
         ("[model]\nbalance_threshold = nan\n",
          "gap and balance threshold must be finite and positive"),
         ("[model]\nbalance_threshold = inf\n",

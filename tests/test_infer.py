@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from matchdid.infer import (
     run_primary_analysis,
     write_results_csv,
 )
-from matchdid import cli, pipeline
+from matchdid import cli, infer, pipeline
 from matchdid._util import substream
 from matchdid.config import load_config
 from matchdid.ingest import filter_births
@@ -192,6 +193,42 @@ class TestMixedModel:
         assert 0.0 < normal.theta < 10.0 and normal.converged is True
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
         assert "1 of 2 REML fits" in caplog.records[0].getMessage()
+
+    def test_edge_fits_in_two_blocks_warn_once(self, caplog, monkeypatch):
+        # the scan-edge replicate above twice, in blocks of two replicates
+        rng = np.random.default_rng(0)
+        codes = np.repeat(np.arange(30), 8)
+        X = np.column_stack([np.ones(240), rng.normal(size=240)])
+        effect = rng.normal(size=30)[codes]
+        Y = [effect + 1e-7 * rng.normal(size=240),
+             effect + rng.normal(size=240),
+             effect + 1e-7 * rng.normal(size=240)]
+        monkeypatch.setattr(infer, "_BLOCK", 2)
+        with caplog.at_level(logging.WARNING, logger="matchdid.infer"):
+            fits = MixedModelData(X, codes, ("a", "b")).fit(Y)
+        assert [f.converged for f in fits] == [False, True, False]
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "2 of 3 REML fits" in caplog.records[0].getMessage()
+
+    def test_working_set_does_not_grow_with_m(self):
+        # 1,000 clusters of 1-4 rows: at M = 64 a block's statistics
+        # outweigh the fits returned, so a fit that held all M replicates'
+        # statistics at once would peak about 8 times higher at M = 512
+        rng = np.random.default_rng(0)
+        codes = np.repeat(np.arange(1000), rng.integers(1, 5, 1000))
+        X = np.column_stack([np.ones(len(codes)), rng.normal(size=(len(codes), 3))])
+        data = MixedModelData(X, codes, ("a", "b", "c", "d"))
+        Y = (rng.normal(size=(8 * infer._BLOCK, 1000))[:, codes]
+             + rng.normal(size=(8 * infer._BLOCK, len(codes))))
+        peaks = []
+        for m in (infer._BLOCK, 8 * infer._BLOCK):
+            tracemalloc.start()
+            try:
+                data.fit(Y[:m])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_noiseless_cell_means_recover_contrasts(self):
         # four clusters laid out as the four design cells, three rows each
@@ -453,7 +490,7 @@ class TestRemlProperties:
         assert len(calls) <= 10
         # the search's record counts every batched evaluation but the two
         record, = [r.getMessage() for r in caplog.records]
-        assert record == (f"REML search of 8 replicates: 0 scan and "
+        assert record == (f"REML search of 8 replicates, block 1 of 1: 0 scan and "
                           f"{len(calls) - 2} Newton calls, at most "
                           f"{len(calls) - 2} steps")
 
@@ -500,16 +537,29 @@ def _assert_same_fits(warm, cold):
 
 
 class TestWarmStart:
-    def test_warm_fits_equal_full_scan_fits_on_seeded_designs(self):
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_warm_fits_equal_full_scan_fits_on_seeded_designs(self, block,
+                                                              monkeypatch):
+        # the cold fits, warm-started U refits and cold U refits, each also
+        # fitted in blocks of ``block`` replicates, so that M = 2-4 crosses
+        # block boundaries: every blocked fit equals its one-block fit
         designs = 0
         for X, codes, Y, U in _seeded_tiny_designs():
             designs += 1
             data = MixedModelData(X, codes,
                                   tuple(f"x{j}" for j in range(X.shape[1])))
             base = data.outcomes(Y)
-            start = _theta(data.fit(Y, base=base))
-            _assert_same_fits(data.fit(Y, ("u", U), start=start, base=base),
-                              data.fit(Y, ("u", U)))
+
+            def fits():
+                cold = data.fit(Y, base=base)
+                return (cold, data.fit(Y, ("u", U), start=_theta(cold), base=base),
+                        data.fit(Y, ("u", U)))
+
+            whole = fits()
+            with monkeypatch.context() as patch:
+                patch.setattr(infer, "_BLOCK", block)
+                assert fits() == whole
+            _assert_same_fits(whole[1], whole[2])
         assert designs >= 40
 
     def test_warm_fits_equal_full_scan_fits_on_the_quickstart_design(
