@@ -37,8 +37,7 @@ _EXPORTS = {
         "std_diff",
     ),
     "impute": (
-        "ImputationModel", "ImputedSet", "draw_imputations",
-        "fit_imputation_model",
+        "ImputationModel", "draw_imputations", "fit_imputation_model",
     ),
     "infer": (
         "InferenceDesign", "MixedFit", "PooledEstimate", "PrimaryResult",

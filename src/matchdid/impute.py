@@ -15,7 +15,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -93,12 +93,6 @@ class ImputationModel:
             raise DataValidationError("covariance shape mismatch")
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-10):
             raise DataValidationError("covariance must be symmetric")
-
-
-@dataclass(frozen=True)
-class ImputedSet:
-    replicate: int                  # 1-based
-    lbw: np.ndarray                 # completed outcome, aligned with records
 
 
 def _sigmoid(eta):
@@ -227,13 +221,20 @@ def fit_imputation_model(records: Sequence[BirthRecord]) -> ImputationModel:
                            covariance=fit.covariance, prior_scales=scales)
 
 
+def _observed(records: Sequence[BirthRecord]) -> np.ndarray:
+    """Each record's observed outcome as int8, -1 where it is missing."""
+    return np.array([-1 if r.lbw is None else r.lbw for r in records],
+                    dtype=np.int8)
+
+
 def draw_imputations(
     model: ImputationModel,
     records: Sequence[BirthRecord],
     m: int,
     seed: int,
-) -> List[ImputedSet]:
-    """M completed outcome vectors over ``records`` (observed entries kept).
+) -> np.ndarray:
+    """M completed outcome vectors over ``records`` (observed entries kept),
+    as an (M, n) int8 matrix whose row m - 1 is replicate m.
 
     Each replicate draws coefficients from the normal posterior
     approximation, then Bernoulli outcomes for the missing records. Every
@@ -243,25 +244,22 @@ def draw_imputations(
     """
     if m < 1:
         raise DataValidationError("number of imputations must be >= 1")
-    observed = np.array([-1 if r.lbw is None else r.lbw for r in records])
+    observed = _observed(records)
     missing = observed < 0
     X_missing = design_matrix(records)[missing]
     chol = np.linalg.cholesky(
         model.covariance + 1e-12 * np.eye(len(model.coefficients))
     )
-    sets: List[ImputedSet] = []
-    for replicate in range(1, m + 1):
+    lbw = np.tile(observed, (m, 1))
+    for replicate, row in enumerate(lbw, 1):
         rng = substream(seed, "impute", replicate)
         beta_star = model.coefficients + chol @ rng.standard_normal(
             len(model.coefficients)
         )
         u = rng.random(len(records))
-        lbw = observed.astype(np.int8)
         if missing.any():
-            p = _sigmoid(X_missing @ beta_star)
-            lbw[missing] = (u[missing] < p).astype(np.int8)
-        sets.append(ImputedSet(replicate=replicate, lbw=lbw))
-    return sets
+            row[missing] = u[missing] < _sigmoid(X_missing @ beta_star)
+    return lbw
 
 
 # ---------------------------------------------------------------------------
@@ -302,50 +300,51 @@ def _block(prefix, rows: list):
 
 
 def write_imputations_csv(
-    records: Sequence[BirthRecord], sets: Sequence[ImputedSet], path
+    records: Sequence[BirthRecord], lbw: np.ndarray, path
 ) -> None:
-    """Write the header, then each replicate's rows in record order; this
+    """Write the header, then each replicate's rows in record order, from
+    the (M, n) outcome matrix ``lbw`` whose row m - 1 is replicate m; this
     is the only layout ``read_imputations_csv`` accepts."""
+    # min and max scan the matrix without an (M, n) temporary
+    if lbw.min(initial=0) < 0 or lbw.max(initial=1) > 1:
+        bad = ((lbw < 0) | (lbw > 1)).any(axis=1).argmax()
+        raise DataValidationError(
+            f"replicate {bad + 1} holds an outcome other than 0 or 1")
     tail0, tail1 = _row_tails(records)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(_HEADER)
-        for s in sets:
-            if ((s.lbw != 0) & (s.lbw != 1)).any():
-                raise DataValidationError(
-                    f"replicate {s.replicate} holds an outcome other than 0 or 1")
-            fh.write(_block(f"{s.replicate},",
-                            np.where(s.lbw == 1, tail1, tail0).tolist()))
+        for replicate, row in enumerate(lbw, 1):
+            fh.write(_block(f"{replicate},",
+                            np.where(row == 1, tail1, tail0).tolist()))
 
 
 def read_imputations_csv(
     records: Sequence[BirthRecord], path, m: int
-) -> List[ImputedSet]:
+) -> np.ndarray:
     """Read back what ``write_imputations_csv`` wrote for ``records`` and
-    ``m`` replicates. The file must be byte for byte that layout, with only
-    the outcome cells of records whose outcome is missing free to read 0 or
-    1. Anything else raises ``DataValidationError`` naming the physical
-    line of the first byte that departs, as expected and as found."""
+    ``m`` replicates, as the (M, n) int8 outcome matrix. The file must be
+    byte for byte that layout, with only the outcome cells of records whose
+    outcome is missing free to read 0 or 1. Anything else raises
+    ``DataValidationError`` naming the physical line of the first byte that
+    departs, as expected and as found."""
     tail0, tail1 = _row_tails(records)
-    observed = np.array([-1 if r.lbw is None else r.lbw for r in records],
-                        dtype=np.int8)
+    observed = _observed(records)
     missing = np.flatnonzero(observed < 0)
     # the rows as written, with the observed outcomes and 0 where missing
     rows = [t.encode() for t in np.where(observed == 1, tail1, tail0)]
     row_ends = np.cumsum([len(t) for t in rows], dtype=np.int64)
-    sets = []
+    lbw = np.tile(observed, (m, 1))
     with open(path, "rb") as fh:
         _compare(fh, path, ",".join(_HEADER).encode() + b"\r\n", missing[:0])
-        for rep in range(1, m + 1):
-            prefix = f"{rep},".encode()
+        for replicate, row in enumerate(lbw, 1):
+            prefix = f"{replicate},".encode()
             # offsets of the missing records' outcome cells in the block
             cells = len(prefix) * (missing + 1) + row_ends[missing] - 3
             got = _compare(fh, path, _block(prefix, rows), cells)
-            lbw = observed.copy()
-            lbw[missing] = got[cells] == _ONE
-            sets.append(ImputedSet(replicate=rep, lbw=lbw))
+            row[missing] = got[cells] == _ONE
         if fh.read(1):
             _refuse(path, fh.tell() - 1, b"", fh.tell() - 1, missing[:0])
-    return sets
+    return lbw
 
 
 def _compare(fh, path, expected: bytes, cells: np.ndarray) -> np.ndarray:

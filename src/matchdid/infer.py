@@ -164,8 +164,6 @@ _LOG_THETA_LO, _LOG_THETA_HI = -15.5, 11.5
 _EDGE_TOL = 1e-9
 _STEP_TOL = 1e-10
 _MAX_STEPS = 100
-# a scan scores up to _CHUNK rows a call, a few replicates at several points
-_CHUNK = 32
 # replicates fitted together; a replicate's fit is bit-independent of its
 # block, and 64 keeps the M = 50 refits of a quickstart sweep point in one
 _BLOCK = 64
@@ -380,18 +378,14 @@ class MixedModelData:
         return u, best, steps, active, evals
 
     def _search(self, stats, start, block) -> Tuple[np.ndarray, ...]:
-        """``_newton`` from ``start`` or else from the best scan point, which
-        scores a few replicates at several points per call; logs its calls
+        """``_newton`` from ``start`` or else from the best point of _SCAN,
+        which scores all replicates at one point per call; logs its calls
         with ``block``, the name of the block searched."""
         m, scores = len(stats[0]), []
         if start is None:
-            k = max(1, _CHUNK // max(m, 1))
-            scores = [self.profile_criterion(np.repeat(np.exp(g), m), stats if k == 1
-                                             else tuple(np.concatenate([a] * len(g))
-                                                        for a in stats))[0]
-                      for g in np.split(_SCAN, range(k, len(_SCAN), k))]
-            start = _SCAN[np.argmin(np.concatenate(scores).reshape(len(_SCAN), m),
-                                    axis=0)]
+            scores = [self.profile_criterion(np.full(m, np.exp(g)), stats)[0]
+                      for g in _SCAN]
+            start = _SCAN[np.argmin(scores, axis=0)]
         u, best, steps, failed, evals = self._newton(
             np.clip(start, _LOG_THETA_LO, _LOG_THETA_HI), stats)
         _log.debug("REML search of %d replicates, %s: %d scan and %d Newton "
@@ -617,13 +611,13 @@ def pool_fits(fits: Sequence[MixedFit]) -> Dict[str, PooledEstimate]:
     return rubin_combine(est, var, names)
 
 
-def run_primary_analysis(design: InferenceDesign, imputed_sets) -> PrimaryResult:
-    """Fit the outcome model on every completed data set, pool by Rubin's
-    rules, and report the naive four-cell contrast and the covariate drift
-    term over treated pairs for comparison."""
+def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
+    """Fit the outcome model on every completed data set, a row of the
+    (M, n) outcome matrix ``imputed``, pool by Rubin's rules, and report
+    the naive four-cell contrast and the covariate drift term over treated
+    pairs for comparison."""
     names = design.regressors
-    fits = MixedModelData(design.X, design.cluster_codes, names).fit(
-        [s.lbw for s in imputed_sets])
+    fits = MixedModelData(design.X, design.cluster_codes, names).fit(imputed)
     pooled = pool_fits(fits)
 
     cells = design.cell_masks
@@ -647,7 +641,7 @@ def run_primary_analysis(design: InferenceDesign, imputed_sets) -> PrimaryResult
         pooled=pooled,
         naive_k1=naive_k1, naive_k2=naive_k2, naive_k3=naive_k3,
         covariate_drift=drift,
-        m=len(imputed_sets),
+        m=len(imputed),
         n_records=design.n_records,
         n_clusters=design.n_clusters,
         sigma0_sq_mean=float(np.mean([f.sigma0_sq for f in fits])),

@@ -28,10 +28,9 @@ from .cardmatch import (
 )
 from .classify import classify_pairs
 from .config import RunConfig
-from .errors import DataValidationError
+from .errors import ConfigError, DataValidationError
 from .geomatch import match_country, read_pairs_csv, write_pairs_csv
 from .impute import (
-    ImputedSet,
     draw_imputations,
     fit_imputation_model,
     read_imputations_csv,
@@ -83,7 +82,11 @@ class Workspace:
     def __init__(self, cfg: RunConfig, out_dir) -> None:
         self.cfg = cfg
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {self.out} as the output "
+                              f"directory: {exc.strerror}") from None
         self.inputs = {
             name: Path(getattr(cfg.inputs, Path(name).stem) or self.out / name)
             for name in INPUTS
@@ -93,10 +96,12 @@ class Workspace:
         return self.inputs.get(name, self.out / name)
 
     def artifact(self, name: str) -> Path:
-        """Path of an input table or stage artifact, refused if missing."""
+        """Path of an input table or stage artifact, refused unless a file."""
         path = self.path(name)
-        if path.exists():
+        if path.is_file():
             return path
+        if path.exists():
+            raise DataValidationError(f"{name} at {path} is not a file")
         if name in self.inputs:
             raise DataValidationError(
                 f"missing input {path.name}; run the simulate stage first "
@@ -138,7 +143,8 @@ class Workspace:
                 f"and [filters] removed the other {counts.remaining}")
         return build_design(analyzed, quadruples, self.cfg.model)
 
-    def imputed(self, design: InferenceDesign) -> List[ImputedSet]:
+    def imputed(self, design: InferenceDesign):
+        """The (M, n) int8 outcome matrix read from ``imputations.csv``."""
         return read_imputations_csv(design.records,
                                     self.artifact("imputations.csv"),
                                     self.cfg.model.imputations)
@@ -151,7 +157,7 @@ class Workspace:
             "seed": seed,
             "preset": self.cfg.preset,
             "config": asdict(self.cfg),
-            "inputs": {p.name: sha256_file(p) for p in map(self.path, inputs)},
+            "inputs": {n: sha256_file(self.path(n)) for n in inputs},
             "outputs": {n: sha256_file(self.out / n) for n in outputs},
         }
         path = self.out / f"{stage}_manifest.json"
@@ -270,8 +276,8 @@ def stage_impute(ws: Workspace, seed: int):
     design = ws.design()
     observed = [r for r in design.records if r.lbw is not None]
     model = fit_imputation_model(observed)
-    sets = draw_imputations(model, design.records, ws.cfg.model.imputations,
-                            seed)
+    imputed = draw_imputations(model, design.records,
+                               ws.cfg.model.imputations, seed)
 
     write_json(ws.out / "imputation_model.json", {
         "columns": list(model.column_names),
@@ -281,10 +287,10 @@ def stage_impute(ws: Workspace, seed: int):
         "n_observed": len(observed),
         "n_records": design.n_records,
     })
-    write_imputations_csv(design.records, sets, ws.out / "imputations.csv")
+    write_imputations_csv(design.records, imputed, ws.out / "imputations.csv")
     ws.manifest("impute", seed, DESIGN_INPUTS,
                 ["imputation_model.json", "imputations.csv"])
-    return model, sets
+    return model, imputed
 
 
 def stage_fit(ws: Workspace, seed: int):

@@ -76,17 +76,16 @@ class SensitivityResult:
     pooled: Dict[str, PooledEstimate]
 
 
-def _primary_fit(design: InferenceDesign, imputed_sets):
+def _primary_fit(design: InferenceDesign, imputed: np.ndarray):
     """The primary fit's (data, outcomes, theta) that refits reuse."""
     data = MixedModelData(design.X, design.cluster_codes, design.regressors)
-    Y = [s.lbw for s in imputed_sets]
-    base = data.outcomes(Y)
-    return data, base, [f.theta for f in data.fit(Y, base=base)]
+    base = data.outcomes(imputed)
+    return data, base, [f.theta for f in data.fit(imputed, base=base)]
 
 
 def sensitivity_fit(
     design: InferenceDesign,
-    imputed_sets,
+    imputed: np.ndarray,
     p1: float,
     p2: float,
     seed: int,
@@ -94,21 +93,21 @@ def sensitivity_fit(
 ) -> SensitivityResult:
     """Refit the outcome model with a fresh U per replicate and pool.
 
-    The U draw for replicate m runs on the substream keyed by
-    (seed, p1, p2, m), so grid points and replicates are independent and
-    the whole table is reproducible for a fixed seed. All replicates are
-    fitted in one batch, with U bordering the shared design, each from its
-    variance ratio in ``primary`` (fitted here if not given).
+    ``imputed`` is the (M, n) outcome matrix whose row m - 1 is replicate
+    m. The U draw for replicate m runs on the substream keyed by
+    (seed, "sensan", p1, p2, m), so grid points and replicates are
+    independent and the whole table is reproducible for a fixed seed. The
+    replicates are fitted in blocks of 64, with U bordering the shared
+    design, each from its variance ratio in ``primary`` (fitted here if not
+    given).
     """
     validate_u_probabilities(p1, p2)
-    data, base, theta = primary or _primary_fit(design, imputed_sets)
+    data, base, theta = primary or _primary_fit(design, imputed)
     low = design.X[:, design.regressors.index("low_prevalence")]
-    U = np.array([
-        gen_u(low, s.lbw, p1, p2, substream(seed, "sensan", p1, p2, s.replicate))
-        for s in imputed_sets
-    ])
-    pooled = pool_fits(data.fit([s.lbw for s in imputed_sets], (U_REGRESSOR, U),
-                                start=theta, base=base))
+    U = np.array([gen_u(low, y, p1, p2, substream(seed, "sensan", p1, p2, m))
+                  for m, y in enumerate(imputed, 1)])
+    pooled = pool_fits(data.fit(imputed, (U_REGRESSOR, U), start=theta,
+                                base=base))
     return SensitivityResult(
         p1=p1, p2=p2, case=case_label(p1, p2),
         k1=pooled["low_prevalence"], lam=pooled[U_REGRESSOR], pooled=pooled,
@@ -141,14 +140,14 @@ def default_grid() -> List[Tuple[float, float]]:
 
 def sensitivity_grid(
     design: InferenceDesign,
-    imputed_sets,
+    imputed: np.ndarray,
     seed: int,
     grid: Optional[Sequence[Tuple[float, float]]] = None,
 ) -> List[SensitivityRow]:
     """One sensitivity fit per grid point, all from one primary fit; invalid
     points are skipped with a warning row rather than aborting the sweep."""
     rows: List[SensitivityRow] = []
-    primary = _primary_fit(design, imputed_sets)
+    primary = _primary_fit(design, imputed)
     for p1, p2 in (default_grid() if grid is None else list(grid)):
         try:
             validate_u_probabilities(p1, p2)
@@ -159,7 +158,7 @@ def sensitivity_grid(
                 p_value=math.nan, skipped=True, note=str(exc),
             ))
             continue
-        res = sensitivity_fit(design, imputed_sets, p1, p2, seed, primary)
+        res = sensitivity_fit(design, imputed, p1, p2, seed, primary)
         rows.append(SensitivityRow(
             case=res.case, p1=p1, p2=p2,
             estimate=res.k1.estimate, ci_low=res.k1.ci_low,

@@ -220,6 +220,25 @@ class TestExitCodes:
         assert ("missing input clusters.csv; run the simulate stage first "
                 "or set [inputs] paths") in capsys.readouterr().err
 
+    def test_input_path_that_is_a_directory_is_data_error(self, finished,
+                                                           tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("clusters.csv", "prevalence.csv"):
+            shutil.copyfile(finished / name, out / name)
+        path = tmp_path / "dir.ini"
+        path.write_text(f"{QUICK_CONFIG}\n[inputs]\nbirths = {tmp_path}\n")
+        assert run_cli("ingest", "--config", path, "--out-dir", out) == 2
+        assert (f"births.csv at {tmp_path} is not a file"
+                in capsys.readouterr().err)
+
+    def test_out_dir_that_is_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert run_cli("simulate", "--out-dir", out) == 1
+        assert (f"error (config): cannot use {out} as the output directory"
+                in capsys.readouterr().err)
+
     def test_removed_threads_option_is_usage_error(self, tmp_path, capsys):
         assert run_cli("simulate", "--threads", 2,
                        "--out-dir", tmp_path) == 1
@@ -285,6 +304,26 @@ class TestPipeline:
         for name, (stage, digest) in final.items():
             actual = hashlib.sha256((finished / name).read_bytes()).hexdigest()
             assert actual == digest, (stage, name)
+
+    def test_manifest_keys_inputs_by_artifact_name(self, workdir, finished,
+                                                   tmp_path):
+        # three [inputs] paths that share a basename
+        _, cfg_path = workdir
+        inputs, lines = {}, ["[inputs]"]
+        for folder, name in zip("abc", ("clusters.csv", "prevalence.csv",
+                                        "births.csv")):
+            (tmp_path / folder).mkdir()
+            inputs[name] = tmp_path / folder / "data.csv"
+            shutil.copyfile(finished / name, inputs[name])
+            lines.append(f"{name[:-4]} = {inputs[name]}")
+        path = tmp_path / "inputs.ini"
+        path.write_text(cfg_path.read_text() + "\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("ingest", "--config", path, "--out-dir", out) == 0
+        manifest = json.loads((out / "ingest_manifest.json").read_text())
+        assert manifest["inputs"] == {
+            name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for name, p in inputs.items()}
 
     def test_stage_by_stage_matches_pipeline(self, workdir, finished,
                                              tmp_path_factory):

@@ -13,7 +13,6 @@ from matchdid.errors import ConvergenceError, DataValidationError
 from matchdid.impute import (
     GRAD_TOL,
     IMPUTATION_COLUMNS,
-    ImputedSet,
     cauchy_prior,
     design_matrix,
     draw_imputations,
@@ -179,10 +178,11 @@ class TestDraw:
     def test_observed_entries_untouched(self, toy):
         observed, model = toy
         records = observed[:10] + [make_birth(child_id="miss", lbw=None)]
-        sets = draw_imputations(model, records, 8, seed=3)
-        for s in sets:
-            assert list(s.lbw[:10]) == [r.lbw for r in records[:10]]
-            assert s.lbw[10] in (0, 1)
+        lbw = draw_imputations(model, records, 8, seed=3)
+        assert lbw.dtype == np.int8 and lbw.shape == (8, 11)
+        for row in lbw:
+            assert list(row[:10]) == [r.lbw for r in records[:10]]
+            assert row[10] in (0, 1)
 
     def test_default_m_is_500(self):
         assert ModelSpec().imputations == 500
@@ -192,22 +192,20 @@ class TestDraw:
         records = [make_birth(child_id=f"m{i}", lbw=None) for i in range(20)]
         a = draw_imputations(model, records, 6, seed=11)
         b = draw_imputations(model, records, 6, seed=11)
-        for sa, sb in zip(a, b):
-            assert np.array_equal(sa.lbw, sb.lbw)
+        assert np.array_equal(a, b)
         # replicate m's draw does not depend on how many replicates follow
         c = draw_imputations(model, records, 3, seed=11)
-        for sa, sc in zip(a[:3], c):
-            assert np.array_equal(sa.lbw, sc.lbw)
+        assert np.array_equal(a[:3], c)
         d = draw_imputations(model, records, 6, seed=12)
-        assert any(not np.array_equal(sa.lbw, sd.lbw) for sa, sd in zip(a, d))
+        assert any(not np.array_equal(ra, rd) for ra, rd in zip(a, d))
 
     def test_monte_carlo_matches_posterior_mean_probability(self, toy):
         _, model = toy
         record = make_birth(child_id="miss", mother_age_years=22,
                             reported_size=BirthSize.SMALL, lbw=None)
         m = 10_000
-        sets = draw_imputations(model, [record], m, seed=77)
-        fraction = float(np.mean([s.lbw[0] for s in sets]))
+        lbw = draw_imputations(model, [record], m, seed=77)
+        fraction = float(np.mean(lbw[:, 0]))
         # oracle: direct Monte-Carlo integration of the posterior-normal
         # predictive probability with an unrelated generator
         x = design_matrix([record])[0]
@@ -237,14 +235,14 @@ class TestDraw:
                 assert p_small > p_avg
 
 
-def _reference_write(records, sets, path):
+def _reference_write(records, lbw, path):
     """The former writer: one csv.writer row per replicate and record."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "child_id", "lbw"])
-        for s in sets:
-            for r, value in zip(records, s.lbw):
-                writer.writerow([s.replicate, r.child_id, fmt(int(value))])
+        for replicate, row in enumerate(lbw, 1):
+            for r, value in zip(records, row):
+                writer.writerow([replicate, r.child_id, fmt(int(value))])
 
 
 @st.composite
@@ -259,42 +257,40 @@ def imputed_files(draw):
                              min_size=len(ids), max_size=len(ids)))
     records = [make_birth(child_id=c, lbw=v) for c, v in zip(ids, observed)]
     m = draw(st.integers(1, 5))
-    sets = []
-    for rep in range(1, m + 1):
-        lbw = [draw(st.sampled_from([0, 1])) if v is None else v
-               for v in observed]
-        sets.append(ImputedSet(replicate=rep,
-                               lbw=np.array(lbw, dtype=np.int8)))
-    return records, sets
+    lbw = [[draw(st.sampled_from([0, 1])) if v is None else v
+            for v in observed] for _ in range(m)]
+    return records, np.array(lbw, dtype=np.int8)
 
 
 class TestImputationsCsv:
     @settings(max_examples=200, deadline=None)
     @given(imputed_files())
     def test_round_trip_matches_the_row_writer(self, tmp_path_factory, case):
-        records, sets = case
+        records, lbw = case
         root = tmp_path_factory.mktemp("imputations")
-        write_imputations_csv(records, sets, root / "new.csv")
-        _reference_write(records, sets, root / "reference.csv")
+        write_imputations_csv(records, lbw, root / "new.csv")
+        _reference_write(records, lbw, root / "reference.csv")
         assert ((root / "new.csv").read_bytes()
                 == (root / "reference.csv").read_bytes())
-        back = read_imputations_csv(records, root / "new.csv", len(sets))
-        assert [s.replicate for s in back] == [s.replicate for s in sets]
-        for got, want in zip(back, sets):
-            assert got.lbw.dtype == np.int8
-            assert np.array_equal(got.lbw, want.lbw)
+        back = read_imputations_csv(records, root / "new.csv", len(lbw))
+        assert back.dtype == np.int8
+        assert np.array_equal(back, lbw)
 
     def test_writer_refuses_outcomes_other_than_0_or_1(self, tmp_path):
         records = [make_birth(child_id="a", lbw=None)]
-        sets = [ImputedSet(replicate=1, lbw=np.array([2], dtype=np.int8))]
-        with pytest.raises(DataValidationError, match="other than 0 or 1"):
-            write_imputations_csv(records, sets, tmp_path / "i.csv")
+        lbw = np.array([[1], [2], [3]], dtype=np.int8)
+        path = tmp_path / "i.csv"
+        with pytest.raises(DataValidationError,
+                           match="replicate 2 holds an outcome other than 0 or 1"):
+            write_imputations_csv(records, lbw, path)
+        # the matrix is checked before the file is opened
+        assert not path.exists()
 
     def test_bytes_that_are_not_utf8_are_refused(self, tmp_path):
         records = [make_birth(child_id="a", lbw=None)]
-        sets = [ImputedSet(replicate=1, lbw=np.array([1], dtype=np.int8))]
+        lbw = np.array([[1]], dtype=np.int8)
         path = tmp_path / "i.csv"
-        write_imputations_csv(records, sets, path)
+        write_imputations_csv(records, lbw, path)
         path.write_bytes(path.read_bytes().replace(b"1,a,", b"1,\xff,"))
         with pytest.raises(DataValidationError) as refused:
             read_imputations_csv(records, path, 1)
@@ -310,9 +306,9 @@ class TestImputationsCsv:
         a drawn byte or one of 0, 1, 2, CR and LF: the file reads back with
         one missing outcome flipped, or is refused at the physical line of
         the first byte that departs."""
-        records, sets = case
+        records, lbw = case
         path = tmp_path_factory.mktemp("imputations") / "i.csv"
-        write_imputations_csv(records, sets, path)
+        write_imputations_csv(records, lbw, path)
         written = path.read_bytes()
         missing = np.array([r.lbw is None for r in records])
         # the outcome cells sit before each CRLF; they are hit half the time
@@ -330,7 +326,7 @@ class TestImputationsCsv:
                 continue
             path.write_bytes(mutated)
             try:
-                back = read_imputations_csv(records, path, len(sets))
+                back = read_imputations_csv(records, path, len(lbw))
             except DataValidationError as exc:
                 departs = next((i for i, (a, b)
                                 in enumerate(zip(written, mutated)) if a != b),
@@ -338,6 +334,5 @@ class TestImputationsCsv:
                 line = written.count(b"\n", 0, departs) + 1
                 assert str(exc).startswith(f"{path}:{line}: expected ")
                 continue
-            flipped = np.array([got.lbw != want.lbw
-                                for got, want in zip(back, sets)])
+            flipped = back != lbw
             assert flipped.sum() == 1 and missing[flipped.nonzero()[1]].all()

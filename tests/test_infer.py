@@ -1,5 +1,7 @@
+import hashlib
 import logging
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -47,8 +49,9 @@ enabled = false
 
 @pytest.fixture(scope="module")
 def quickstart(tmp_path_factory):
-    """The design and M = 50 completed data sets of ``matchdid pipeline
-    --preset quickstart`` on scenario seed 1, analysis seed 1."""
+    """The design, the M = 50 completed data sets and the output directory
+    of ``matchdid pipeline --preset quickstart`` on scenario seed 1,
+    analysis seed 1."""
     root = tmp_path_factory.mktemp("quickstart")
     config = root / "quickstart.ini"
     config.write_text(QUICKSTART_CONFIG)
@@ -59,7 +62,7 @@ def quickstart(tmp_path_factory):
                         "--out-dir", str(out)]) == 0
     ws = pipeline.Workspace(load_config(str(config), "quickstart"), out)
     design = ws.design()
-    return design, ws.imputed(design)
+    return design, ws.imputed(design), out
 
 
 class TestDidContrasts:
@@ -82,7 +85,48 @@ class TestDidContrasts:
             assert np.allclose(out, (k1, k2, k3), atol=1e-12)
 
 
+def _close(a, b, scale=0.0):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
 class TestRubin:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pooling_properties(self, data):
+        """Rubin's rules on M estimates on a 1/16 grid in [-10, 10], whose
+        sums are exact in any order, and arbitrary variances."""
+        m = data.draw(st.integers(2, 40), label="M")
+        est = np.array(data.draw(st.lists(st.integers(-160, 160), min_size=m,
+                                          max_size=m), label="estimates")) / 16
+        var = np.array(data.draw(st.lists(st.floats(0.0, 100.0), min_size=m,
+                                          max_size=m), label="variances"))
+        pooled = rubin_combine(est, var)["g0"]
+        b, w = statistics.variance(est), statistics.fmean(var)
+        assert pooled.estimate == float(est.mean())
+        assert _close(pooled.between_var, b) and _close(pooled.within_var, w)
+        assert _close(pooled.total_var, (1.0 + 1.0 / m) * b + w)
+        assert pooled.total_var >= pooled.within_var
+        assert pooled.df >= m - 1
+        assert pooled.ci_low <= pooled.estimate <= pooled.ci_high
+        half = pooled.ci_high - pooled.estimate
+        # the order of the replicates moves only the last bits of the sums
+        order = data.draw(st.permutations(range(m)), label="order")
+        again = rubin_combine(est[order], var[order])["g0"]
+        for field in ("estimate", "between_var", "within_var", "total_var",
+                      "df"):
+            assert _close(getattr(again, field), getattr(pooled, field)), field
+        assert _close(again.ci_low, pooled.ci_low, abs(pooled.estimate) + half)
+        assert _close(again.ci_high, pooled.ci_high, abs(pooled.estimate) + half)
+        assert _close(again.p_value, pooled.p_value, 1.0)
+        # a x + c with a a power of 2: the estimate and the CI move with it
+        a = 2.0 ** data.draw(st.integers(-4, 4), label="log2 a")
+        c = data.draw(st.integers(-160, 160), label="16 c") / 16
+        moved = rubin_combine(a * est + c, a * a * var)["g0"]
+        scale = a * (abs(pooled.estimate) + half) + abs(c)
+        for field in ("estimate", "ci_low", "ci_high"):
+            assert _close(getattr(moved, field),
+                          a * getattr(pooled, field) + c, scale), field
+
     def test_hand_case_m2(self):
         pooled = rubin_combine(np.array([[0.0], [2.0]]),
                                np.array([[1.0], [1.0]]), ["g"])["g"]
@@ -564,16 +608,15 @@ class TestWarmStart:
 
     def test_warm_fits_equal_full_scan_fits_on_the_quickstart_design(
             self, quickstart):
-        design, sets = quickstart
+        design, Y, _ = quickstart
         data = MixedModelData(design.X, design.cluster_codes, design.regressors)
-        Y = [s.lbw for s in sets]
         base = data.outcomes(Y)
         start = _theta(data.fit(Y, base=base))
         low = design.X[:, design.regressors.index("low_prevalence")]
         for p1, p2 in ((5.0, 10.0), (5.0, -10.0), (-5.0, 10.0), (-5.0, -10.0)):
-            U = np.array([gen_u(low, s.lbw, p1, p2,
-                                substream(1, "sensan", p1, p2, s.replicate))
-                          for s in sets])
+            U = np.array([gen_u(low, y, p1, p2,
+                                substream(1, "sensan", p1, p2, m))
+                          for m, y in enumerate(Y, 1)])
             _assert_same_fits(data.fit(Y, ("u", U), start=start, base=base),
                               data.fit(Y, ("u", U)))
 
@@ -669,9 +712,9 @@ class TestBatchIndependence:
     def test_u_statistics_are_exact_on_the_integer_design(self, analysis):
         # the pipeline's design, outcomes and U hold integers, whose sums are
         # exact in any order
-        design, _, sets = analysis
+        design, _, imputed = analysis
         data = MixedModelData(design.X, design.cluster_codes, design.regressors)
-        Y = [s.lbw for s in sets[:3]]
+        Y = imputed[:3]
         U = np.random.default_rng(4).integers(0, 2, (3, design.n_records))
         bordered = data._stats(Y, ("u", U))
         for i, y in enumerate(Y):
@@ -683,6 +726,15 @@ class TestBatchIndependence:
 
 
 class TestPrimaryAnalysis:
+    def test_quickstart_imputations_pinned(self, quickstart):
+        # the benchmark's quickstart scenario at M = 50: no change to the
+        # imputation model, its draws or the imputations.csv codec may move
+        # these bytes
+        _, _, out = quickstart
+        digest = hashlib.sha256((out / "imputations.csv").read_bytes())
+        assert digest.hexdigest() == ("01c6ca82e9df5c075c14f41aa54dcc28"
+                                      "357477e311e6f5d398c2484c0991be57")
+
     def test_design_shape_and_indicators(self, scenario, matched, analysis):
         design, _, _ = analysis
         assert design.X.shape[1] == len(REGRESSORS) == 14
@@ -700,7 +752,7 @@ class TestPrimaryAnalysis:
         design, _, sets = analysis
         result = run_primary_analysis(design, sets)
         data = MixedModelData(design.X, design.cluster_codes)
-        fits = data.fit([s.lbw for s in sets])
+        fits = data.fit(sets)
         for name in REGRESSORS:
             mean = float(np.mean([f.estimates[name] for f in fits]))
             assert result.pooled[name].estimate == pytest.approx(mean, abs=1e-14)

@@ -107,7 +107,7 @@ class TestCollinearU:
         data = MixedModelData(design.X, design.cluster_codes, design.regressors)
         with pytest.raises(DataValidationError,
                            match=f"collinear columns: {U_REGRESSOR}"):
-            data.fit([s.lbw for s in sets], extra=(U_REGRESSOR, U))
+            data.fit(sets, extra=(U_REGRESSOR, U))
 
 
 class TestGrid:
