@@ -38,11 +38,13 @@ design = build_design(births, quadruples)
 model = fit_imputation_model([r for r in design.records if r.lbw is not None])
 sets = draw_imputations(model, design.records, m=20, seed=1)
 
-primary = run_primary_analysis(design, sets).pooled["low_prevalence"]
+result = run_primary_analysis(design, sets)
+primary = result.pooled["low_prevalence"]
 print(f"primary low-prevalence coefficient: {primary.estimate:+.4f} "
       f"[{primary.ci_low:+.4f}, {primary.ci_high:+.4f}]\n")
 
-rows = sensitivity_grid(design, sets, seed=8)
+# the sweep starts from the primary fit's variance ratios, not a new fit
+rows = sensitivity_grid(design, sets, seed=8, theta=result.theta)
 print(f"{'case':4s} {'p1':>6s} {'p2':>6s} {'estimate':>9s} "
       f"{'95% CI':>22s} {'p':>7s}")
 current = None

@@ -166,6 +166,17 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
+def read_json(path) -> Any:
+    """The value ``write_json`` wrote to ``path``; a file that is not UTF-8
+    JSON raises ``DataValidationError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:       # undecodable bytes or malformed JSON
+        raise DataValidationError(
+            f"{path}: not readable as UTF-8 JSON ({exc})") from None
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -593,6 +593,9 @@ class PrimaryResult:
     n_clusters: int
     sigma0_sq_mean: float
     sigma1_sq_mean: float
+    # each replicate's variance ratio sigma0^2/sigma1^2, in replicate order;
+    # a sensitivity sweep starts its refits from them
+    theta: Tuple[float, ...]
 
 
 def _cell_rate(observed: np.ndarray, mask: np.ndarray) -> float:
@@ -615,7 +618,8 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
     """Fit the outcome model on every completed data set, a row of the
     (M, n) outcome matrix ``imputed``, pool by Rubin's rules, and report
     the naive four-cell contrast and the covariate drift term over treated
-    pairs for comparison."""
+    pairs for comparison. The result keeps each replicate's variance ratio
+    (``theta``), from which ``sensitivity_grid`` can start its refits."""
     names = design.regressors
     fits = MixedModelData(design.X, design.cluster_codes, names).fit(imputed)
     pooled = pool_fits(fits)
@@ -646,6 +650,7 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
         n_clusters=design.n_clusters,
         sigma0_sq_mean=float(np.mean([f.sigma0_sq for f in fits])),
         sigma1_sq_mean=float(np.mean([f.sigma1_sq for f in fits])),
+        theta=tuple(f.theta for f in fits),
     )
 
 

@@ -6,20 +6,24 @@ with input/output hashes, the seed, and a config snapshot. Stages are
 deterministic: re-running one with unchanged inputs and seed reproduces
 its artifacts byte for byte.
 
-Every stage takes a ``Workspace`` and the seed. The workspace parses the
-input tables at most once, so the stages of one ``run_pipeline`` call
-share a single parse; stage artifacts are read from disk on every call,
-because later stages rewrite them.
+Every stage takes a ``Workspace`` and the seed. The workspace keeps what
+one stage derived for the stages after it, so the stages of one
+``run_pipeline`` call parse the input tables once, build the inference
+design once, never read back the imputations they drew, hash each file
+once per write and fit the primary model once. A stage run on its own
+reads and checks its input artifacts from disk.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._util import flag, optional, read_csv, sha256_file, write_csv, write_json
+from ._util import (flag, optional, read_csv, read_json, sha256_file,
+                    write_csv, write_json)
 from .cardmatch import (
     cardinality_match,
     read_quadruples_csv,
@@ -71,13 +75,28 @@ DESIGN_INPUTS = (*INPUTS, "pairs.csv", "quadruples.csv")
 PRODUCERS = {"study_years.csv": "ingest", "pairs.csv": "match-geo",
              "quadruples.csv": "match-card", "imputations.csv": "impute"}
 
+# what a Workspace keeps, with the files each is derived from: a stage that
+# rewrites one of those files drops it
+KEPT = {"tables": INPUTS, "design": DESIGN_INPUTS,
+        "imputed": (*DESIGN_INPUTS, "imputations.csv"),
+        "theta": (*DESIGN_INPUTS, "imputations.csv")}
+
 
 class Workspace:
-    """One run's config, output directory and input tables.
+    """One run's config and output directory, and what one process keeps
+    of the run.
 
-    The input tables are parsed on first use and kept; every stage
-    artifact is read from disk each time it is asked for.
+    The input tables, the inference design and the (M, n) imputed outcome
+    matrix are read or built on first use and kept; ``stage_impute`` keeps
+    the matrix it drew and ``stage_fit`` the primary fit's variance ratios
+    (``theta``). The SHA-256 of each file a manifest hashed is kept too.
+    Writing a file through ``output`` drops its hash and whatever is derived
+    from it (``KEPT``), so a later stage reads the new file. Every other
+    stage artifact is read from disk each time it is asked for.
     """
+
+    # the primary fit's variance ratios, in replicate order, once fitted
+    theta: Optional[Tuple[float, ...]] = None
 
     def __init__(self, cfg: RunConfig, out_dir) -> None:
         self.cfg = cfg
@@ -87,6 +106,7 @@ class Workspace:
         except OSError as exc:
             raise ConfigError(f"cannot use {self.out} as the output "
                               f"directory: {exc.strerror}") from None
+        self._hashes: Dict[Path, str] = {}
         self.inputs = {
             name: Path(getattr(cfg.inputs, Path(name).stem) or self.out / name)
             for name in INPUTS
@@ -108,6 +128,19 @@ class Workspace:
                 f"or set [inputs] paths")
         raise DataValidationError(
             f"missing artifact {name}; run the {PRODUCERS[name]} stage first")
+
+    def output(self, name: str) -> Path:
+        """Path a stage writes ``name`` to, refused if it exists and is not
+        a file. The kept hash of ``name`` and what ``KEPT`` derives from it
+        are dropped."""
+        path = self.out / name
+        if path.exists() and not path.is_file():
+            raise DataValidationError(f"{name} at {path} is not a file")
+        self._hashes.pop(path, None)
+        for kept, sources in KEPT.items():
+            if name in sources:
+                self.__dict__.pop(kept, None)
+        return path
 
     @cached_property
     def tables(self):
@@ -131,6 +164,7 @@ class Workspace:
                  for p in self.pairs()}
         return read_quadruples_csv(self.artifact("quadruples.csv"), pairs)
 
+    @cached_property
     def design(self) -> InferenceDesign:
         quadruples = self.quadruples()
         filtered, counts = filter_births(self.tables[1])
@@ -143,11 +177,18 @@ class Workspace:
                 f"and [filters] removed the other {counts.remaining}")
         return build_design(analyzed, quadruples, self.cfg.model)
 
-    def imputed(self, design: InferenceDesign):
-        """The (M, n) int8 outcome matrix read from ``imputations.csv``."""
-        return read_imputations_csv(design.records,
+    @cached_property
+    def imputed(self):
+        """The (M, n) int8 outcome matrix, read from ``imputations.csv``
+        unless ``stage_impute`` kept the one it drew."""
+        return read_imputations_csv(self.design.records,
                                     self.artifact("imputations.csv"),
                                     self.cfg.model.imputations)
+
+    def sha256(self, path: Path) -> str:
+        if path not in self._hashes:
+            self._hashes[path] = sha256_file(path)
+        return self._hashes[path]
 
     def manifest(self, stage: str, seed, inputs: Sequence[str],
                  outputs: Sequence[str]) -> Path:
@@ -157,12 +198,23 @@ class Workspace:
             "seed": seed,
             "preset": self.cfg.preset,
             "config": asdict(self.cfg),
-            "inputs": {n: sha256_file(self.path(n)) for n in inputs},
-            "outputs": {n: sha256_file(self.out / n) for n in outputs},
+            "inputs": {n: self.sha256(self.path(n)) for n in inputs},
+            "outputs": {n: self.sha256(self.out / n) for n in outputs},
         }
-        path = self.out / f"{stage}_manifest.json"
+        path = self.output(f"{stage}_manifest.json")
         write_json(path, manifest)
         return path
+
+    def ran_with_this_config(self, stage: str) -> bool:
+        """Whether ``<stage>_manifest.json`` records this run's config."""
+        path = self.out / f"{stage}_manifest.json"
+        if not path.is_file():
+            return False
+        recorded = read_json(path)
+        # compared as the manifest writes it, where a tuple is a list
+        return (isinstance(recorded, dict) and
+                json.dumps(recorded.get("config"), sort_keys=True)
+                == json.dumps(asdict(self.cfg), sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +222,11 @@ class Workspace:
 
 
 def stage_simulate(ws: Workspace, seed: int) -> Dict:
+    outputs = [*INPUTS, "truth.json"]
+    for name in outputs:
+        ws.output(name)
     truth = gen_scenario(ws.cfg.scenario, seed, ws.out)
-    ws.__dict__.pop("tables", None)     # the input files were just rewritten
-    ws.manifest("simulate", seed, [], [*INPUTS, "truth.json"])
+    ws.manifest("simulate", seed, [], outputs)
     return truth
 
 
@@ -181,13 +235,13 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
     selections = select_study_years(clusters)
     filtered, counts = filter_births(births)
 
-    write_csv(ws.out / "study_years.csv", STUDY_YEARS_COLUMNS, (
+    write_csv(ws.output("study_years.csv"), STUDY_YEARS_COLUMNS, (
         [country, "", "", "", "", 0] if sel is None else
         [country, sel.early_year, sel.late_year, sel.prevalence_early_year,
          sel.prevalence_late_year, 1]
         for country, sel in sorted(selections.items())))
 
-    write_births_csv(filtered, ws.out / "births_filtered.csv")
+    write_births_csv(filtered, ws.output("births_filtered.csv"))
 
     summary = {
         "n_clusters": len(clusters),
@@ -199,7 +253,7 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
         "births_remaining": counts.remaining,
         "warnings": warnings,
     }
-    write_json(ws.out / "ingest_summary.json", summary)
+    write_json(ws.output("ingest_summary.json"), summary)
 
     ws.manifest("ingest", seed, INPUTS, ["study_years.csv",
                                          "births_filtered.csv",
@@ -240,14 +294,14 @@ def stage_geomatch(ws: Workspace, seed: int) -> List[ClusterPair]:
         if early and late:
             pairs.extend(match_country(early, late, ws.cfg.matching.caliper()))
 
-    write_pairs_csv(pairs, ws.out / "pairs.csv")
+    write_pairs_csv(pairs, ws.output("pairs.csv"))
     ws.manifest("geomatch", seed, [*INPUTS, "study_years.csv"], ["pairs.csv"])
     return pairs
 
 
 def stage_classify(ws: Workspace, seed: int) -> List[ClusterPair]:
     classified = classify_pairs(ws.pairs(classified=False), ws.cfg.model)
-    write_pairs_csv(classified, ws.out / "pairs.csv")
+    write_pairs_csv(classified, ws.output("pairs.csv"))
     # pairs.csv is rewritten in place, so it is listed only as an output
     ws.manifest("classify", seed, INPUTS, ["pairs.csv"])
     return classified
@@ -265,21 +319,21 @@ def stage_cardmatch(ws: Workspace, seed: int):
         )
     quadruples, balance = cardinality_match(
         treated, control, ws.cfg.model.balance_threshold)
-    write_quadruples_csv(quadruples, ws.out / "quadruples.csv")
-    write_balance_csv(balance, ws.out / "balance.csv")
+    write_quadruples_csv(quadruples, ws.output("quadruples.csv"))
+    write_balance_csv(balance, ws.output("balance.csv"))
     ws.manifest("cardmatch", seed, [*INPUTS, "pairs.csv"],
                 ["quadruples.csv", "balance.csv"])
     return quadruples, balance
 
 
 def stage_impute(ws: Workspace, seed: int):
-    design = ws.design()
+    design = ws.design
     observed = [r for r in design.records if r.lbw is not None]
     model = fit_imputation_model(observed)
     imputed = draw_imputations(model, design.records,
                                ws.cfg.model.imputations, seed)
 
-    write_json(ws.out / "imputation_model.json", {
+    write_json(ws.output("imputation_model.json"), {
         "columns": list(model.column_names),
         "coefficients": [float(v) for v in model.coefficients],
         "prior_scales": [float(v) for v in model.prior_scales],
@@ -287,19 +341,21 @@ def stage_impute(ws: Workspace, seed: int):
         "n_observed": len(observed),
         "n_records": design.n_records,
     })
-    write_imputations_csv(design.records, imputed, ws.out / "imputations.csv")
+    write_imputations_csv(design.records, imputed,
+                          ws.output("imputations.csv"))
+    ws.imputed = imputed
     ws.manifest("impute", seed, DESIGN_INPUTS,
                 ["imputation_model.json", "imputations.csv"])
     return model, imputed
 
 
 def stage_fit(ws: Workspace, seed: int):
-    design = ws.design()
-    result = run_primary_analysis(design, ws.imputed(design))
+    result = run_primary_analysis(ws.design, ws.imputed)
+    ws.theta = result.theta
 
-    write_results_csv(result.pooled, ws.out / "results.csv")
-    write_diagnostics_csv(result.pooled, ws.out / "diagnostics.csv")
-    write_json(ws.out / "fit_summary.json", {
+    write_results_csv(result.pooled, ws.output("results.csv"))
+    write_diagnostics_csv(result.pooled, ws.output("diagnostics.csv"))
+    write_json(ws.output("fit_summary.json"), {
         "m": result.m,
         "n_records": result.n_records,
         "n_clusters": result.n_clusters,
@@ -319,31 +375,35 @@ def stage_fit(ws: Workspace, seed: int):
 
 
 def stage_sensitivity(ws: Workspace, seed: int):
-    design = ws.design()
-    rows = sensitivity_grid(design, ws.imputed(design), seed,
-                            grid=ws.cfg.sensitivity.grid)
-    write_sensitivity_csv(rows, ws.out / "sensitivity.csv")
+    rows = sensitivity_grid(ws.design, ws.imputed, seed,
+                            grid=ws.cfg.sensitivity.grid, theta=ws.theta)
+    write_sensitivity_csv(rows, ws.output("sensitivity.csv"))
     ws.manifest("sensitivity", seed, [*DESIGN_INPUTS, "imputations.csv"],
                 ["sensitivity.csv"])
     return rows
 
 
 def stage_report(ws: Workspace, seed: int):
-    """Regenerate the presentation tables from the stage artifacts."""
+    """Regenerate the presentation tables from the stage artifacts.
+
+    A table is copied to ``report_<table>`` only when the manifest of the
+    stage that wrote it records this run's config; otherwise any earlier
+    copy is removed, so a report never shows another run's table."""
     quadruples = ws.quadruples()
     matched_pairs = [q.treated for q in quadruples] + [q.control for q in quadruples]
     write_match_diagnostics_csv(match_diagnostics(matched_pairs),
-                                ws.out / "match_diagnostics.csv")
+                                ws.output("match_diagnostics.csv"))
 
     inputs, outputs = list(DESIGN_INPUTS), ["match_diagnostics.csv"]
-    for source, target in (("balance.csv", "report_balance.csv"),
-                           ("results.csv", "report_results.csv"),
-                           ("sensitivity.csv", "report_sensitivity.csv")):
-        src = ws.out / source
-        if src.exists():
-            (ws.out / target).write_bytes(src.read_bytes())
+    for source, stage in (("balance.csv", "cardmatch"), ("results.csv", "fit"),
+                          ("sensitivity.csv", "sensitivity")):
+        target = ws.output(f"report_{source}")
+        if ws.path(source).exists() and ws.ran_with_this_config(stage):
+            target.write_bytes(ws.artifact(source).read_bytes())
             inputs.append(source)
-            outputs.append(target)
+            outputs.append(target.name)
+        else:
+            target.unlink(missing_ok=True)
     ws.manifest("report", seed, inputs, outputs)
     return [ws.out / name for name in outputs]
 

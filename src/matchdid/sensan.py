@@ -76,11 +76,18 @@ class SensitivityResult:
     pooled: Dict[str, PooledEstimate]
 
 
-def _primary_fit(design: InferenceDesign, imputed: np.ndarray):
-    """The primary fit's (data, outcomes, theta) that refits reuse."""
+def _primary_fit(design: InferenceDesign, imputed: np.ndarray,
+                 theta: Optional[Sequence[float]] = None):
+    """The primary fit's (data, outcomes, theta) that refits reuse; the
+    primary model is fitted only when ``theta`` is not given."""
     data = MixedModelData(design.X, design.cluster_codes, design.regressors)
     base = data.outcomes(imputed)
-    return data, base, [f.theta for f in data.fit(imputed, base=base)]
+    if theta is None:
+        theta = [f.theta for f in data.fit(imputed, base=base)]
+    elif len(theta) != len(imputed):
+        raise DataValidationError(f"{len(theta)} primary variance ratios "
+                                  f"for {len(imputed)} replicates")
+    return data, base, theta
 
 
 def sensitivity_fit(
@@ -143,11 +150,16 @@ def sensitivity_grid(
     imputed: np.ndarray,
     seed: int,
     grid: Optional[Sequence[Tuple[float, float]]] = None,
+    theta: Optional[Sequence[float]] = None,
 ) -> List[SensitivityRow]:
     """One sensitivity fit per grid point, all from one primary fit; invalid
-    points are skipped with a warning row rather than aborting the sweep."""
+    points are skipped with a warning row rather than aborting the sweep.
+
+    ``theta``, the primary fit's variance ratios in replicate order (the
+    ``theta`` of ``run_primary_analysis``'s result), spares the sweep
+    fitting the primary model again; the rows are the same either way."""
     rows: List[SensitivityRow] = []
-    primary = _primary_fit(design, imputed)
+    primary = _primary_fit(design, imputed, theta)
     for p1, p2 in (default_grid() if grid is None else list(grid)):
         try:
             validate_u_probabilities(p1, p2)

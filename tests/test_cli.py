@@ -5,6 +5,7 @@ import io
 import json
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from matchdid import cli
 from matchdid.config import PRESETS, load_config
 from matchdid.errors import ConvergenceError
+from matchdid.infer import MixedModelData
 from matchdid.ingest import filter_births, read_births
 
 QUICK_CONFIG = """
@@ -232,6 +234,26 @@ class TestExitCodes:
         assert (f"births.csv at {tmp_path} is not a file"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name, command", [
+        ("study_years.csv", "ingest"),
+        ("ingest_manifest.json", "ingest"),
+        ("truth.json", "simulate"),
+        ("results.csv", "report"),
+        ("report_sensitivity.csv", "report"),
+    ])
+    def test_output_path_that_is_a_directory_is_data_error(
+            self, workdir, finished, tmp_path, capsys, name, command):
+        # a file the command writes, or a table report copies
+        _, cfg_path = workdir
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        (out / name).unlink()
+        (out / name).mkdir()
+        assert run_cli(command, "--config", cfg_path, "--seed", 5,
+                       "--out-dir", out) == 2
+        assert (f"error (data): {name} at {out / name} is not a file"
+                in capsys.readouterr().err)
+
     def test_out_dir_that_is_a_file_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         out.write_text("")
@@ -342,6 +364,32 @@ class TestPipeline:
     def test_report_copies_match_sources(self, finished):
         assert (finished / "report_results.csv").read_bytes() == \
             (finished / "results.csv").read_bytes()
+
+    def test_report_leaves_out_another_runs_sweep(self, workdir, finished,
+                                                  tmp_path):
+        # a sweep-on run, then a sweep-off run of another seed in one
+        # directory: the first run's sensitivity.csv stays on disk, and the
+        # second run's report neither copies nor lists it
+        _, cfg_path = workdir
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("clusters.csv", "prevalence.csv", "births.csv"):
+            shutil.copyfile(finished / name, out / name)
+        off = tmp_path / "off.ini"
+        off.write_text(cfg_path.read_text().replace(
+            "[sensitivity]\n", "[sensitivity]\nenabled = false\n"))
+        for seed, path in ((1, cfg_path), (2, off)):
+            assert run_cli("pipeline", "--preset", "quickstart", "--config",
+                           path, "--seed", seed, "--out-dir", out) == 0
+            manifest = json.loads((out / "report_manifest.json").read_text())
+            assert ("report_sensitivity.csv" in manifest["outputs"]) == (seed == 1)
+        assert (out / "sensitivity.csv").exists()
+        assert not (out / "report_sensitivity.csv").exists()
+        assert "sensitivity.csv" not in manifest["inputs"]
+        assert sorted(manifest["outputs"]) == [
+            "match_diagnostics.csv", "report_balance.csv", "report_results.csv"]
+        assert (out / "report_results.csv").read_bytes() == \
+            (out / "results.csv").read_bytes()
 
     def test_rerun_reproduces_results_exactly(self, workdir, finished,
                                               tmp_path_factory):
@@ -681,3 +729,52 @@ def test_pipeline_parses_inputs_once(workdir, tmp_path, monkeypatch):
     assert calls == {"read_clusters": 3, "read_births": 3}
     assert second[1] != first[1]
     assert second == cli.pipeline.Workspace(ws.cfg, ws.out).tables
+
+
+# perfbench's quickstart workload: the quickstart preset's own scenario
+# yields no balanced quadruple on most seeds
+QUICKSTART_SCENARIO = """
+[scenario]
+n_countries = 3
+regions_per_country = 12
+births_per_cluster = 25
+covariate_imbalance = 0.05
+decline_fraction = 0.5
+stable_high_fraction = 0.5
+missingness = mcar
+missing_rate = 0.3
+"""
+
+
+def test_pipeline_computes_each_thing_once(tmp_path, monkeypatch):
+    """One quickstart pipeline process builds the design once, never reads
+    back the imputations it drew, fits the primary model once (33 fits with
+    the 32 grid points) and hashes each input once and each file once per
+    write; classify rewrites pairs.csv."""
+    config = tmp_path / "quickstart.ini"
+    config.write_text(QUICKSTART_SCENARIO)
+    out = tmp_path / "out"
+    args = ("--preset", "quickstart", "--config", config, "--seed", 1,
+            "--out-dir", out)
+    assert run_cli("simulate", *args) == 0
+    calls, hashed = Counter(), Counter()
+
+    def spy(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            record(*args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("read_imputations_csv", "build_design"):
+        spy(cli.pipeline, name, lambda *_, name=name: calls.update([name]))
+    spy(MixedModelData, "fit", lambda *_: calls.update(["fit"]))
+    spy(cli.pipeline, "sha256_file",
+        lambda path: hashed.update([Path(path).name]))
+    assert run_cli("pipeline", *args) == 0
+    assert [calls[name] for name in (
+        "read_imputations_csv", "build_design", "fit")] == [0, 1, 33]
+    written = Counter(p.name for p in out.iterdir()
+                      if not p.name.endswith("_manifest.json"))
+    assert hashed == written - Counter(["truth.json"]) + Counter(["pairs.csv"])

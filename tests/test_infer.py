@@ -61,8 +61,7 @@ def quickstart(tmp_path_factory):
                         str(config), "--seed", str(seed),
                         "--out-dir", str(out)]) == 0
     ws = pipeline.Workspace(load_config(str(config), "quickstart"), out)
-    design = ws.design()
-    return design, ws.imputed(design), out
+    return ws.design, ws.imputed, out
 
 
 class TestDidContrasts:

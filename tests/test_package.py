@@ -105,3 +105,16 @@ def test_birth_regressors_load_no_scipy(module):
     assert fresh(f"import {module}\n"
                  "print(json.dumps(sorted(m for m in sys.modules\n"
                  "                        if m.split('.')[0] == 'scipy')))") == []
+
+
+def test_benchmark_tracer_finds_every_patch_point():
+    # perfbench/tracer.py patches matchdid names where they are looked up;
+    # a renamed one fails here rather than in a traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from tracer import Tracer, instrument\ninstrument(Tracer())"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr

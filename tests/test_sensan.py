@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from matchdid import infer
 from matchdid.errors import DataValidationError
+from matchdid.impute import draw_imputations
 from matchdid.infer import REGRESSORS, MixedModelData, run_primary_analysis
 from matchdid.sensan import (
     U_REGRESSOR,
@@ -155,3 +157,20 @@ class TestGrid:
         b = sensitivity_grid(design, sets, seed=17, grid=small)
         assert [(r.estimate, r.ci_low, r.ci_high) for r in a] == \
                [(r.estimate, r.ci_low, r.ci_high) for r in b]
+
+    def test_primary_theta_handoff_is_bit_identical(self, analysis):
+        # M spans two blocks of infer._BLOCK replicates
+        design, model, _ = analysis
+        imputed = draw_imputations(model, design.records, infer._BLOCK + 6,
+                                   seed=41)
+        theta = run_primary_analysis(design, imputed).theta
+        assert len(theta) == len(imputed)
+        small = [(2.5, 5.0), (-7.5, 10.0)]
+        given = sensitivity_grid(design, imputed, seed=23, grid=small,
+                                 theta=theta)
+        assert given == sensitivity_grid(design, imputed, seed=23, grid=small)
+        with pytest.raises(DataValidationError,
+                           match=f"{len(theta) - 1} primary variance ratios "
+                                 f"for {len(theta)} replicates"):
+            sensitivity_grid(design, imputed, seed=23, grid=small,
+                             theta=theta[1:])

@@ -2,12 +2,14 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 import matchdid
-from matchdid._util import fmt, optional, read_csv, write_csv, write_json
+from matchdid._util import (fmt, optional, read_csv, read_json, write_csv,
+                            write_json)
 from matchdid.errors import DataValidationError
 
 # the format calls that only _util.py may make; impute.py keeps its own
@@ -88,3 +90,14 @@ def test_write_json_format(tmp_path):
     write_json(tmp_path / "t.json", {"b": [1, 2], "a": 0.5})
     assert (tmp_path / "t.json").read_text(encoding="utf-8") == (
         '{\n  "a": 0.5,\n  "b": [\n    1,\n    2\n  ]\n}\n')
+
+
+def test_read_json_round_trip_and_refusal(tmp_path):
+    path = tmp_path / "a.json"
+    write_json(path, {"b": [1, 2.5, float("inf")], "a": None})
+    assert read_json(path) == {"a": None, "b": [1, 2.5, float("inf")]}
+    for raw in (b'{"a": ', b'{"a": "\xff"}'):
+        path.write_bytes(raw)
+        with pytest.raises(DataValidationError, match=re.escape(
+                f"{path}: not readable as UTF-8 JSON (")):
+            read_json(path)
