@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,6 +152,9 @@ class MixedFit:
     loglik: float
     converged: bool
     theta: float
+    # its search from a given start stopped at an end of the log theta
+    # range and was run again from the scan
+    rescanned: bool = False
 
     def estimate_vector(self, names: Sequence[str]) -> np.ndarray:
         return np.array([self.estimates[n] for n in names])
@@ -224,10 +228,11 @@ class MixedModelData:
             raise DataValidationError(f"design matrix is rank deficient; "
                                       f"collinear columns: {cols}")
 
-    def _border(self, base, v, V) -> Tuple[np.ndarray, np.ndarray]:
+    def _border(self, base, v, V) -> Tuple[np.ndarray, ...]:
         """The statistics ``base`` of [X, V] with a column v[i] after X for
-        each replicate i: only its row and column, each replicate's from its
-        own operands, the class sums a class at a time (no (M, C, k) array)."""
+        each replicate i, and the cluster totals (M, C, 1 + len(V)) of [v[i],
+        V]: only its row and column, each replicate's from its own
+        operands."""
         p, m, k = self.p, len(v), base[0].shape[-1] + 1
         keep = np.r_[:p, p + 1:k]
         gram, classes = (np.empty(a.shape[:-2] + (k, k)) for a in base)
@@ -237,19 +242,27 @@ class MixedModelData:
             w = np.take(np.asarray(cols, dtype=float), self.order, axis=1)
             gram[i, p] = np.concatenate([w[0] @ self.X, w @ w[0]])
             totals[i] = np.add.reduceat(w, self.starts, axis=1).T
-        t = np.empty((m, self.size_counts.max(), k))
+        gram[:, :, p] = gram[:, p]
+        self._border_classes(classes, totals)
+        return gram, classes, totals
+
+    def _border_classes(self, classes, totals) -> None:
+        """Row and column p of the size-class sums ``classes`` from the
+        cluster totals of the bordering column and of the columns after it,
+        a class at a time (no (M, C, k) array)."""
+        p, m = self.p, len(totals)
+        t = np.empty((m, self.size_counts.max(), classes.shape[-1]))
         for j, size in enumerate(self.sizes):
             members, part = self.cluster_sizes == size, t[:, :self.size_counts[j]]
             part[..., :p] = self.cluster_x_totals[members]
             part[..., p:] = totals[:, members]
             np.einsum("mc,mcj->mj", part[..., p], part, out=classes[:, j, p])
-        gram[:, :, p], classes[:, :, :, p] = gram[:, p], classes[:, :, p]
-        return gram, classes
+        classes[:, :, :, p] = classes[:, :, p]
 
     def outcomes(self, Y) -> Tuple[np.ndarray, np.ndarray]:
         """The ``_stats`` of Y alone, which every fit of Y shares."""
         return self._border(tuple(np.broadcast_to(a, (len(Y),) + a.shape)
-                                  for a in (self.xtx, self.x_classes)), Y, [])
+                                  for a in (self.xtx, self.x_classes)), Y, [])[:2]
 
     def _stats(self, Y, extra=None, base=None):
         """Per replicate i the cross products (M, k, k) of [X, V_i] and
@@ -259,18 +272,26 @@ class MixedModelData:
         base = base or self.outcomes(Y)
         if extra is None:
             return base
-        name, U = extra
-        p, (gram, classes) = self.p, self._border(base, U, [Y])
-        # u lies in the span of X when its residual on X, the Schur
-        # complement of X'X, vanishes; X'X is scaled to unit diagonal
+        return self._border(base, extra[1], [Y])[:2]
+
+    @cached_property
+    def _unit_xtx(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The scales s that give X'X a unit diagonal, and the Cholesky
+        factor of X'X so scaled."""
         s = 1.0 / np.sqrt(np.diag(self.xtx))
-        w = scipy.linalg.solve_triangular(np.linalg.cholesky(
-            self.xtx * np.outer(s, s)), (gram[:, p, :p] * s).T, lower=True)
+        return s, np.linalg.cholesky(self.xtx * np.outer(s, s))
+
+    def _check_column(self, gram, name: str) -> None:
+        """Refuse a bordering column, row p of the cross products ``gram``,
+        that lies in the span of X: its residual on X, the Schur complement
+        of X'X, vanishes."""
+        p, (s, factor) = self.p, self._unit_xtx
+        w = scipy.linalg.solve_triangular(factor, (gram[:, p, :p] * s).T,
+                                          lower=True)
         if np.any(gram[:, p, p] - (w * w).sum(axis=0)
                   <= _COLLINEAR_TOL * gram[:, p, p]):
             raise DataValidationError(f"design matrix is rank deficient; "
                                       f"collinear columns: {name}")
-        return gram, classes
 
     def profile_criterion(self, theta: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
         """-2 REML log-likelihood up to a constant, profiled over sigma1^2,
@@ -392,49 +413,62 @@ class MixedModelData:
                    "calls, at most %d steps", m, block, len(scores), evals,
                    steps.max(initial=0))
         edge = (u < _LOG_THETA_LO + _EDGE_TOL) | (u > _LOG_THETA_HI - _EDGE_TOL)
+        rescanned = np.zeros(m, dtype=bool)
         if not scores and edge.any():
             # from a start, it may stop at an end beside a lower minimum
+            rescanned = edge.copy()
             again = self._search(tuple(a[edge] for a in stats), None, block)
             lower = again[1] < best[edge]
             rows = np.flatnonzero(edge)[lower]
             for a, b in zip((u, best, failed, edge), again):
                 a[rows] = b[lower]
-        return u, best, failed, edge
+        return u, best, failed, edge, rescanned
 
     def fit(self, Y, extra: Optional[Tuple[str, np.ndarray]] = None,
-            start: Optional[np.ndarray] = None, base=None) -> List[MixedFit]:
+            start: Optional[np.ndarray] = None, base=None,
+            stats=None) -> List[MixedFit]:
         """REML fits of the outcome vectors Y[0..M-1], in order. ``extra`` =
         (name, U) adds a regressor that differs by replicate: row i of the
         (M, n) array U goes with Y[i]. ``start``, a theta per replicate such as
-        an earlier fit's, replaces the scan; ``base`` is ``outcomes(Y)``.
+        an earlier fit's, replaces the scan; ``base`` is ``outcomes(Y)``. An
+        extra column collinear with X is refused.
+
+        ``stats``, if given, are the ``_stats(Y, extra, base)`` that the
+        caller holds, and ``extra`` then only names the column: a
+        sensitivity sweep passes the statistics it updates between grid
+        points, one block at a time. Such a call fits part of the caller's
+        replicates, so the caller reports the fits that did not converge;
+        otherwise one warning counts them.
 
         The replicates are fitted in consecutive blocks of _BLOCK, which
         bounds the statistics held at once whatever M is; a replicate's fit
         does not depend on its block."""
+        names = self.names + (() if extra is None else (extra[0],))
         m, fits, unconverged = len(Y), [], 0
         blocks = range(0, m, _BLOCK)
         for b, lo in enumerate(blocks):
             rows = slice(lo, lo + _BLOCK)
-            part, stuck = self._fit_block(
-                Y[rows], None if extra is None else (extra[0], extra[1][rows]),
-                None if start is None else start[rows],
-                None if base is None else tuple(a[rows] for a in base),
+            done, stuck = self._fit_block(
+                tuple(a[rows] for a in stats) if stats is not None else
+                self._stats(Y[rows], None if extra is None
+                            else (extra[0], extra[1][rows]),
+                            None if base is None
+                            else tuple(a[rows] for a in base)),
+                names, None if start is None else start[rows],
                 f"block {b + 1} of {len(blocks)}")
-            fits += part
+            fits += done
             unconverged += stuck
-        if unconverged:
-            _log.warning("%d of %d REML fits ended on the edge of the log "
-                         "variance-ratio range [%g, %g] or stopped before "
-                         "converging; they are marked not converged",
-                         unconverged, m, _LOG_THETA_LO, _LOG_THETA_HI)
+        if stats is None:
+            warn_unconverged(unconverged, m)
         return fits
 
-    def _fit_block(self, Y, extra, start, base,
+    def _fit_block(self, stats, names, start,
                    block) -> Tuple[List[MixedFit], int]:
-        """``fit`` of one block: its fits and how many did not converge."""
-        names = self.names + (() if extra is None else (extra[0],))
-        stats = self._stats(Y, extra, base)
+        """``fit`` of one block from its statistics: its fits and how many
+        did not converge."""
         m, q = len(stats[0]), len(names)
+        if q > self.p:
+            self._check_column(stats[0], names[-1])
         crit0, rss0, _, _ = self.profile_criterion(np.zeros(m), stats)
         # degenerate outcome: zero residual variation at theta = 0. It keeps
         # theta = 0 and stays out of the search, where its vanishing
@@ -446,13 +480,15 @@ class MixedModelData:
         search = stats if live.all() else tuple(a[live] for a in stats)
         if start is not None:
             start = np.log(np.fmax(np.asarray(start, float)[live], np.exp(_LOG_THETA_LO)))
-        u, best, stopped, edge = self._search(search, start, block)
+        u, best, stopped, edge, again = self._search(search, start, block)
         theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
+        rescanned = np.zeros(m, dtype=bool)
         theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
         unconverged[live] = stopped | ((theta[live] > 0) & edge)
+        rescanned[live] = again
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
-        # the statistics are done with; freeing them here keeps the peak
-        # memory of a fit at its search's
+        # the statistics are done with; unless the caller keeps them,
+        # freeing them here keeps the peak memory of a fit at its search's
         del stats, search
         if not np.isfinite(criterion[live]).all():
             raise ConvergenceError("REML profile criterion is not finite")
@@ -468,8 +504,18 @@ class MixedModelData:
                          standard_errors=dict(zip(names, se[i])),
                          sigma0_sq=float(theta[i] * sigma1_sq[i]),
                          sigma1_sq=float(sigma1_sq[i]), loglik=float(loglik[i]),
-                         converged=not unconverged[i], theta=float(theta[i]))
+                         converged=not unconverged[i], theta=float(theta[i]),
+                         rescanned=bool(rescanned[i]))
                 for i in range(m)], int(unconverged.sum())
+
+
+def warn_unconverged(count: int, m: int) -> None:
+    """The one warning that counts the fits of M that did not converge."""
+    if count:
+        _log.warning("%d of %d REML fits ended on the edge of the log "
+                     "variance-ratio range [%g, %g] or stopped before "
+                     "converging; they are marked not converged",
+                     count, m, _LOG_THETA_LO, _LOG_THETA_HI)
 
 
 def fit_mixed_lpm(

@@ -205,16 +205,25 @@ class Workspace:
         write_json(path, manifest)
         return path
 
-    def ran_with_this_config(self, stage: str) -> bool:
-        """Whether ``<stage>_manifest.json`` records this run's config."""
+    def is_current(self, stage: str) -> bool:
+        """Whether ``<stage>_manifest.json`` records this run's config and,
+        for each input it lists, that file's hash as it is now. The hashes
+        come from ``sha256``, so a file this process hashed already is not
+        read again."""
         path = self.out / f"{stage}_manifest.json"
         if not path.is_file():
             return False
         recorded = read_json(path)
+        if not isinstance(recorded, dict):
+            return False
+        inputs = recorded.get("inputs")
         # compared as the manifest writes it, where a tuple is a list
-        return (isinstance(recorded, dict) and
-                json.dumps(recorded.get("config"), sort_keys=True)
-                == json.dumps(asdict(self.cfg), sort_keys=True))
+        return (json.dumps(recorded.get("config"), sort_keys=True)
+                == json.dumps(asdict(self.cfg), sort_keys=True)
+                and isinstance(inputs, dict)
+                and all(self.path(name).is_file()
+                        and self.sha256(self.path(name)) == digest
+                        for name, digest in inputs.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +396,8 @@ def stage_report(ws: Workspace, seed: int):
     """Regenerate the presentation tables from the stage artifacts.
 
     A table is copied to ``report_<table>`` only when the manifest of the
-    stage that wrote it records this run's config; otherwise any earlier
+    stage that wrote it records this run's config and the current hash of
+    every input it lists (``Workspace.is_current``); otherwise any earlier
     copy is removed, so a report never shows another run's table."""
     quadruples = ws.quadruples()
     matched_pairs = [q.treated for q in quadruples] + [q.control for q in quadruples]
@@ -398,7 +408,7 @@ def stage_report(ws: Workspace, seed: int):
     for source, stage in (("balance.csv", "cardmatch"), ("results.csv", "fit"),
                           ("sensitivity.csv", "sensitivity")):
         target = ws.output(f"report_{source}")
-        if ws.path(source).exists() and ws.ran_with_this_config(stage):
+        if ws.path(source).exists() and ws.is_current(stage):
             target.write_bytes(ws.artifact(source).read_bytes())
             inputs.append(source)
             outputs.append(target.name)

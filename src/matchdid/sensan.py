@@ -7,10 +7,21 @@ the outcome model is refitted with U as an extra regressor, and the
 low-prevalence coefficient (and the U coefficient, which is estimated,
 never fixed) are pooled by Rubin's rules. The grid sweep groups results
 into the four sign cases of (p1, p2).
+
+The grid points share their random numbers (common random numbers;
+Glasserman and Yao, Management Science 1992): replicate m draws one
+uniform V per record, once, on the substream keyed (seed, "sensan", m),
+and at every grid point U = 1 where V < P(U=1). Each point's U keeps its
+distribution; the points share their Monte Carlo noise. The sweep runs
+over blocks of at most ``infer._BLOCK`` replicates and, within a block,
+over the grid points. U's statistics are built at the block's first point
+and then updated from the records whose U flips; the design, the outcomes
+and U hold integers, so the updates give the same statistics bit for bit.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,13 +30,25 @@ import numpy as np
 
 from ._util import fmt, substream, write_csv
 from .errors import DataValidationError
-from .infer import InferenceDesign, MixedModelData, PooledEstimate, pool_fits
+from .infer import (_BLOCK, InferenceDesign, MixedModelData, PooledEstimate,
+                    rubin_combine, warn_unconverged)
 from .model import validate_u_probabilities
+
+_log = logging.getLogger(__name__)
 
 U_REGRESSOR = "unobserved_u"
 
 SENSITIVITY_COLUMNS = ["case", "p1", "p2", "estimate", "ci_low", "ci_high",
                        "p_value", "note"]
+
+# random() draws multiples of 1 / _SCALE, so V < P exactly where the
+# integer V * _SCALE is below ceil(P * _SCALE); sums of integers below
+# _SCALE are exact doubles
+_SCALE = 2.0 ** 53
+# a record's class is low prevalence + 2 * completed outcome, and P(U=1)
+# is one value per class: u_probability(_CLASS_LOW, _CLASS_OUTCOME, p1, p2)
+_CLASS_LOW = np.array([0.0, 1.0, 0.0, 1.0])
+_CLASS_OUTCOME = np.array([0.0, 0.0, 1.0, 1.0])
 
 
 def case_label(p1: float, p2: float) -> int:
@@ -76,18 +99,144 @@ class SensitivityResult:
     pooled: Dict[str, PooledEstimate]
 
 
-def _primary_fit(design: InferenceDesign, imputed: np.ndarray,
-                 theta: Optional[Sequence[float]] = None):
-    """The primary fit's (data, outcomes, theta) that refits reuse; the
-    primary model is fitted only when ``theta`` is not given."""
+class _BlockU:
+    """U of one block of replicates, U = V < P(U=1), at one of the grid
+    points whose P(U=1) by record class is ``probs``, and the statistics of
+    [X, U, Y] there (``MixedModelData._border``); it starts at point 0.
+
+    ``Y`` holds the block's outcomes, replicate ``first`` in its row 0, and
+    ``X`` the design, in record order. Replicate m's V is drawn on the
+    substream keyed (seed, "sensan", m). Class 0 keeps P(U=1) = 0.5 at
+    every point. The other records are sorted by replicate, class and V, so
+    that at any point U = 1 on a prefix of each (replicate, class) run.
+    Moving to another point visits only the records between the old and the
+    new ends of the prefixes: their rows of X and Y are added to or taken
+    from U's cross products, their clusters' U totals move by one, and the
+    size-class sums are formed again from the cluster totals.
+    """
+
+    def __init__(self, data: MixedModelData, X, base, Y, seed: int,
+                 first: int, probs):
+        self.data, self.X, self.Y, self.point = data, X, Y, 0
+        # each record's cluster, numbered as the cluster totals are
+        self.cluster = np.empty(data.n, dtype=np.intp)
+        self.cluster[data.order] = np.repeat(np.arange(len(data.starts)),
+                                             data.cluster_sizes)
+        cls = X[:, data.names.index("low_prevalence")].astype(np.int8) + 2 * Y
+        cut = np.concatenate([[0], np.cumsum(np.count_nonzero(cls, axis=1))])
+        self.rows = np.empty(cut[-1], dtype=np.int32)
+        # the end of each (replicate, class) run's U = 1 prefix at each point
+        self.ends = np.empty((len(probs), len(Y), 4), dtype=np.int64)
+        bounds = ((np.arange(4) << 53)
+                  + np.ceil(np.array(probs) * _SCALE).astype(np.int64))
+        U, v = np.empty(Y.shape, dtype=bool), np.empty(Y.shape[1])
+        for i, (c, u) in enumerate(zip(cls, U)):
+            substream(seed, "sensan", first + i).random(out=v)
+            np.less(v, probs[0][c], out=u)
+            rec = np.flatnonzero(c)
+            # (class, V) as one integer
+            key = ((c[rec].astype(np.int64) << 53)
+                   + (v[rec] * _SCALE).astype(np.int64))
+            order = np.argsort(key, kind="stable")
+            self.rows[cut[i]:cut[i + 1]] = rec[order]
+            self.ends[:, i] = cut[i] + np.searchsorted(key[order], bounds)
+        self.ends = self.ends.reshape(len(probs), -1)
+        del cls
+        self.gram, self.classes, self.totals = data._border(base, U, [Y])
+
+    @property
+    def stats(self):
+        return self.gram, self.classes
+
+    def move(self, point: int) -> int:
+        """Move U to grid point ``point``; returns how many entries flipped."""
+        data, p, b = self.data, self.data.p, len(self.Y)
+        old, ends = self.ends[self.point], self.ends[point]
+        self.point = point
+        lo, length = np.minimum(old, ends), np.abs(ends - old)
+        pos = (np.arange(length.sum())
+               + np.repeat(lo - np.cumsum(length) + length, length))
+        rec = self.rows[pos]
+        rep = np.repeat(np.arange(b), length.reshape(b, 4).sum(axis=1))
+        # a prefix that grows turns U to 1 on the records it takes in
+        sign = np.repeat(np.where(ends > old, 1.0, -1.0), length)
+        row = self.gram[:, p]
+        for j in range(p):
+            row[:, j] += np.bincount(rep, sign * self.X[rec, j], minlength=b)
+        row[:, p] += np.bincount(rep, sign, minlength=b)
+        row[:, p + 1] += np.bincount(rep, sign * self.Y[rep, rec], minlength=b)
+        self.gram[:, :, p] = row
+        np.add.at(self.totals[..., 0], (rep, self.cluster[rec]), sign)
+        data._border_classes(self.classes, self.totals)
+        return len(pos)
+
+
+def _require_integers(data: MixedModelData) -> None:
+    """Refuse a design on which U's updated statistics could differ from
+    ``_border``'s: they are exact only as sums of integers below 2^53."""
+    bad = [name for name, col in zip(data.names, data.X.T)
+           if not np.array_equal(col, np.rint(col))]
+    if bad:
+        raise DataValidationError(
+            f"the sensitivity sweep needs an integer-valued design; "
+            f"not integer-valued: {', '.join(bad)}")
+    if (_BLOCK * data.n * data.cluster_sizes.max()
+            * max(data.X.max(), -data.X.min()) >= _SCALE):
+        raise DataValidationError("the sensitivity sweep needs design values "
+                                  "whose sums stay below 2^53")
+    low = data.X[:, data.names.index("low_prevalence")]
+    if not np.all((low == 0) | (low == 1)):
+        raise DataValidationError("low_prevalence must be 0 or 1")
+
+
+def _refits(design: InferenceDesign, imputed, points, seed: int,
+            theta: Optional[Sequence[float]], columns: Sequence[str]):
+    """Refit every replicate with U at each of ``points``, valid (p1, p2)
+    pairs, from the primary fit's variance ratios ``theta`` (fitted here if
+    not given). Returns the estimates of the regressors ``columns`` and
+    their squared standard errors, two (len(points), M, len(columns))
+    arrays."""
     data = MixedModelData(design.X, design.cluster_codes, design.regressors)
-    base = data.outcomes(imputed)
+    _require_integers(data)
+    imputed = np.asarray(imputed)
+    m, n = imputed.shape
     if theta is None:
-        theta = [f.theta for f in data.fit(imputed, base=base)]
-    elif len(theta) != len(imputed):
+        theta = [f.theta for f in data.fit(imputed)]
+    elif len(theta) != m:
         raise DataValidationError(f"{len(theta)} primary variance ratios "
-                                  f"for {len(imputed)} replicates")
-    return data, base, theta
+                                  f"for {m} replicates")
+    theta = np.asarray(theta, dtype=float)
+    probs = [u_probability(_CLASS_LOW, _CLASS_OUTCOME, p1, p2)
+             for p1, p2 in points]
+    est = np.empty((len(points), m, len(columns)))
+    var = np.empty_like(est)
+    stuck, flipped, rescanned = (np.zeros(len(points), dtype=np.int64)
+                                 for _ in range(3))
+    for lo in range(0, m, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        Y = imputed[rows]
+        if not np.all((Y == 0) | (Y == 1)):
+            raise DataValidationError("completed outcomes must be 0 or 1")
+        for j in range(len(points)):
+            if j == 0:
+                state = _BlockU(data, design.X, data.outcomes(Y), Y, seed,
+                                lo + 1, probs)
+            else:
+                flipped[j] += state.move(j)
+            fits = data.fit(Y, (U_REGRESSOR, None), start=theta[rows],
+                            stats=state.stats)
+            est[j, rows] = [f.estimate_vector(columns) for f in fits]
+            var[j, rows] = [[f.standard_errors[k] ** 2 for k in columns]
+                            for f in fits]
+            stuck[j] += sum(not f.converged for f in fits)
+            rescanned[j] += sum(f.rescanned for f in fits)
+    for j, (p1, p2) in enumerate(points):
+        warn_unconverged(int(stuck[j]), m)
+        _log.debug("sensitivity point (%g, %g): U flipped on %d of %d "
+                   "entries since the previous point (all are drawn at the "
+                   "first), %d of %d replicates searched again from the scan",
+                   p1, p2, flipped[j], m * n, rescanned[j], m)
+    return est, var
 
 
 def sensitivity_fit(
@@ -96,25 +245,23 @@ def sensitivity_fit(
     p1: float,
     p2: float,
     seed: int,
-    primary: Optional[tuple] = None,
+    theta: Optional[Sequence[float]] = None,
 ) -> SensitivityResult:
-    """Refit the outcome model with a fresh U per replicate and pool.
+    """Refit the outcome model with a U per replicate and pool.
 
     ``imputed`` is the (M, n) outcome matrix whose row m - 1 is replicate
-    m. The U draw for replicate m runs on the substream keyed by
-    (seed, "sensan", p1, p2, m), so grid points and replicates are
-    independent and the whole table is reproducible for a fixed seed. The
-    replicates are fitted in blocks of 64, with U bordering the shared
-    design, each from its variance ratio in ``primary`` (fitted here if not
-    given).
+    m. Replicate m's U is V < P(U=1), where V holds one uniform per record
+    drawn on the substream keyed by (seed, "sensan", m), the same at every
+    (p1, p2); the result equals the ``sensitivity_grid`` row of (p1, p2) for
+    the same seed bit for bit. The replicates are fitted in blocks of 64,
+    with U bordering the shared design, each from its variance ratio in the
+    primary fit, ``theta`` (fitted here if not given). The design must be
+    integer-valued, as ``build_design`` makes it.
     """
     validate_u_probabilities(p1, p2)
-    data, base, theta = primary or _primary_fit(design, imputed)
-    low = design.X[:, design.regressors.index("low_prevalence")]
-    U = np.array([gen_u(low, y, p1, p2, substream(seed, "sensan", p1, p2, m))
-                  for m, y in enumerate(imputed, 1)])
-    pooled = pool_fits(data.fit(imputed, (U_REGRESSOR, U), start=theta,
-                                base=base))
+    names = design.regressors + (U_REGRESSOR,)
+    est, var = _refits(design, imputed, [(p1, p2)], seed, theta, names)
+    pooled = rubin_combine(est[0], var[0], names)
     return SensitivityResult(
         p1=p1, p2=p2, case=case_label(p1, p2),
         k1=pooled["low_prevalence"], lam=pooled[U_REGRESSOR], pooled=pooled,
@@ -155,26 +302,42 @@ def sensitivity_grid(
     """One sensitivity fit per grid point, all from one primary fit; invalid
     points are skipped with a warning row rather than aborting the sweep.
 
-    ``theta``, the primary fit's variance ratios in replicate order (the
-    ``theta`` of ``run_primary_analysis``'s result), spares the sweep
-    fitting the primary model again; the rows are the same either way."""
-    rows: List[SensitivityRow] = []
-    primary = _primary_fit(design, imputed, theta)
-    for p1, p2 in (default_grid() if grid is None else list(grid)):
+    The points share each replicate's uniforms, drawn once on the
+    substream keyed by (seed, "sensan", m), so a row equals
+    ``sensitivity_fit`` at its point. The sweep fits a block of replicates
+    at every point before the next block, and logs one warning per point
+    that counts its fits that did not converge, and one DEBUG record per
+    point on ``matchdid.sensan``. ``theta``, the primary fit's variance
+    ratios in replicate order (the ``theta`` of ``run_primary_analysis``'s
+    result), spares the sweep fitting the primary model again; the rows are
+    the same either way."""
+    points = default_grid() if grid is None else list(grid)
+    notes: List[Optional[str]] = []
+    for p1, p2 in points:
         try:
             validate_u_probabilities(p1, p2)
+            notes.append(None)
         except DataValidationError as exc:
+            notes.append(str(exc))
+    est, var = _refits(design, imputed, [
+        point for point, note in zip(points, notes) if note is None],
+        seed, theta, ["low_prevalence"])
+    pooled = iter([rubin_combine(e, v, ["low_prevalence"])["low_prevalence"]
+                   for e, v in zip(est, var)])
+    rows: List[SensitivityRow] = []
+    for (p1, p2), note in zip(points, notes):
+        if note is not None:
             rows.append(SensitivityRow(
                 case=case_label(p1, p2), p1=p1, p2=p2,
                 estimate=math.nan, ci_low=math.nan, ci_high=math.nan,
-                p_value=math.nan, skipped=True, note=str(exc),
+                p_value=math.nan, skipped=True, note=note,
             ))
             continue
-        res = sensitivity_fit(design, imputed, p1, p2, seed, primary)
+        k1 = next(pooled)
         rows.append(SensitivityRow(
-            case=res.case, p1=p1, p2=p2,
-            estimate=res.k1.estimate, ci_low=res.k1.ci_low,
-            ci_high=res.k1.ci_high, p_value=res.k1.p_value,
+            case=case_label(p1, p2), p1=p1, p2=p2,
+            estimate=k1.estimate, ci_low=k1.ci_low,
+            ci_high=k1.ci_high, p_value=k1.p_value,
         ))
     return rows
 

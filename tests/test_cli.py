@@ -391,6 +391,24 @@ class TestPipeline:
         assert (out / "report_results.csv").read_bytes() == \
             (out / "results.csv").read_bytes()
 
+    def test_report_leaves_out_a_sweep_of_other_imputations(
+            self, workdir, finished, tmp_path):
+        # the same config, but imputations and fit of another seed: the
+        # sensitivity manifest's imputations.csv hash is stale
+        _, cfg_path = workdir
+        out = tmp_path / "out"
+        shutil.copytree(finished, out)
+        for cmd in ("impute", "fit", "report"):
+            assert run_cli(cmd, "--config", cfg_path, "--seed", 6,
+                           "--out-dir", out) == 0, cmd
+        manifest = json.loads((out / "report_manifest.json").read_text())
+        assert (out / "sensitivity.csv").exists()
+        assert not (out / "report_sensitivity.csv").exists()
+        assert sorted(manifest["outputs"]) == [
+            "match_diagnostics.csv", "report_balance.csv", "report_results.csv"]
+        assert (out / "report_results.csv").read_bytes() == \
+            (out / "results.csv").read_bytes()
+
     def test_rerun_reproduces_results_exactly(self, workdir, finished,
                                               tmp_path_factory):
         _, cfg_path = workdir

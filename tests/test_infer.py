@@ -28,7 +28,7 @@ from matchdid import cli, infer, pipeline
 from matchdid._util import substream
 from matchdid.config import load_config
 from matchdid.ingest import filter_births
-from matchdid.sensan import gen_u
+from matchdid.sensan import gen_u, sensitivity_grid, write_sensitivity_csv
 
 # the quickstart benchmark's scenario, with the sweep off
 QUICKSTART_CONFIG = """
@@ -733,6 +733,17 @@ class TestPrimaryAnalysis:
         digest = hashlib.sha256((out / "imputations.csv").read_bytes())
         assert digest.hexdigest() == ("01c6ca82e9df5c075c14f41aa54dcc28"
                                       "357477e311e6f5d398c2484c0991be57")
+
+    def test_quickstart_sensitivity_pinned(self, quickstart, tmp_path):
+        # the benchmark's quickstart sweep, default grid at analysis seed 1:
+        # no change to the common U draws or to the refits may move these
+        # bytes
+        design, Y, _ = quickstart
+        path = tmp_path / "sensitivity.csv"
+        write_sensitivity_csv(sensitivity_grid(design, Y, seed=1), path)
+        digest = hashlib.sha256(path.read_bytes())
+        assert digest.hexdigest() == ("70f1355ad352e98c101d53603f1c173b"
+                                      "46b9b0cc4e3e3ff7fbad4477785a2ffb")
 
     def test_design_shape_and_indicators(self, scenario, matched, analysis):
         design, _, _ = analysis

@@ -1,4 +1,7 @@
+import dataclasses
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +11,10 @@ from matchdid.errors import DataValidationError
 from matchdid.impute import draw_imputations
 from matchdid.infer import REGRESSORS, MixedModelData, run_primary_analysis
 from matchdid.sensan import (
+    _CLASS_LOW,
+    _CLASS_OUTCOME,
     U_REGRESSOR,
+    _BlockU,
     case_label,
     default_grid,
     gen_u,
@@ -174,3 +180,95 @@ class TestGrid:
                                  f"for {len(theta)} replicates"):
             sensitivity_grid(design, imputed, seed=23, grid=small,
                              theta=theta[1:])
+
+
+class TestCommonRandomNumbers:
+    def test_updated_u_statistics_equal_border_at_every_point(self, analysis):
+        # U = V < P(U=1) from one V per replicate; moving between the points
+        # of the default grid must give _border's statistics bit for bit
+        design, _, sets = analysis
+        data = MixedModelData(design.X, design.cluster_codes, design.regressors)
+        low = design.X[:, design.regressors.index("low_prevalence")]
+        V = [substream(9, "sensan", m).random(design.n_records)
+             for m in range(1, len(sets) + 1)]
+        grid = default_grid()
+        probs = [u_probability(_CLASS_LOW, _CLASS_OUTCOME, *point)
+                 for point in grid]
+        base = data.outcomes(sets)
+        state = _BlockU(data, design.X, base, sets, 9, 1, probs)
+        for j, (p1, p2) in enumerate(grid):
+            if j:
+                state.move(j)
+            U = np.array([v < u_probability(low, y, p1, p2)
+                          for v, y in zip(V, sets)])
+            for a, b in zip(state.stats, data._stats(sets, ("u", U), base)):
+                assert np.array_equal(a, b), (p1, p2)
+
+    def test_grid_rows_equal_sensitivity_fit_over_two_blocks(self, analysis):
+        design, model, _ = analysis
+        imputed = draw_imputations(model, design.records, infer._BLOCK + 6,
+                                   seed=43)
+        theta = run_primary_analysis(design, imputed).theta
+        small = [(2.5, 5.0), (-7.5, 10.0), (10.0, -5.0)]
+        rows = sensitivity_grid(design, imputed, seed=29, grid=small,
+                                theta=theta)
+        for row, (p1, p2) in zip(rows, small):
+            k1 = sensitivity_fit(design, imputed, p1, p2, seed=29,
+                                 theta=theta).k1
+            assert (row.estimate, row.ci_low, row.ci_high, row.p_value) == \
+                (k1.estimate, k1.ci_low, k1.ci_high, k1.p_value)
+
+    def test_design_that_is_not_integer_valued_is_refused(self, analysis):
+        design, _, sets = analysis
+        X = design.X.copy()
+        X[:, design.regressors.index("wealth_index")] += 0.5
+        shifted = dataclasses.replace(design, X=X)
+        with pytest.raises(DataValidationError,
+                           match="integer-valued design; not integer-valued: "
+                                 "wealth_index"):
+            sensitivity_grid(shifted, sets, seed=3, grid=[(2.5, 5.0)])
+        with pytest.raises(DataValidationError, match="integer-valued"):
+            sensitivity_fit(shifted, sets, 2.5, 5.0, seed=3)
+
+
+class TestSweepBlocks:
+    def test_working_set_does_not_grow_with_m(self, analysis):
+        # the sweep holds one block's U state and statistics at a time
+        design, model, _ = analysis
+        imputed = draw_imputations(model, design.records, 8 * infer._BLOCK,
+                                   seed=47)
+        theta = np.full(len(imputed), 0.05)
+        peaks = []
+        for m in (infer._BLOCK, 8 * infer._BLOCK):
+            tracemalloc.start()
+            try:
+                sensitivity_grid(design, imputed[:m], seed=5,
+                                 grid=[(2.5, 5.0), (-5.0, -10.0)],
+                                 theta=theta[:m])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_one_edge_warning_and_one_record_per_point(self, analysis,
+                                                       caplog):
+        # outcomes constant within each cluster drive every refit to the
+        # upper end of the variance-ratio range, in both blocks
+        design, _, _ = analysis
+        m = infer._BLOCK + 6
+        rng = substream(8, "test-edge")
+        imputed = (rng.random((m, design.n_clusters)) < 0.3).astype(
+            np.int8)[:, design.cluster_codes]
+        grid = [(2.5, 5.0), (-5.0, -10.0)]
+        with caplog.at_level(logging.DEBUG):
+            sensitivity_grid(design, imputed, seed=2, grid=grid,
+                             theta=np.ones(m))
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == len(grid)
+        assert all(f"{m} of {m} REML fits ended on the edge" in w
+                   for w in warnings)
+        points = [r.getMessage() for r in caplog.records
+                  if r.name == "matchdid.sensan"]
+        assert [p.split(":")[0] for p in points] == [
+            "sensitivity point (2.5, 5)", "sensitivity point (-5, -10)"]
