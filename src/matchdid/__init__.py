@@ -47,7 +47,7 @@ _EXPORTS = {
     "ingest": ("StudySelection", "filter_births", "select_study_years"),
     "report": ("MatchDiagnostics", "match_diagnostics"),
     "sensan": (
-        "SensitivityResult", "SensitivityRow", "gen_u", "sensitivity_fit",
+        "SensitivityResult", "SensitivityRow", "sensitivity_fit",
         "sensitivity_grid",
     ),
     "synth": ("ScenarioConfig", "ScenarioData", "UTrue", "gen_scenario",

@@ -21,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -145,19 +145,19 @@ def build_design(
 
 @dataclass(frozen=True)
 class MixedFit:
-    estimates: Dict[str, float]
-    standard_errors: Dict[str, float]
-    sigma0_sq: float
-    sigma1_sq: float
-    loglik: float
-    converged: bool
-    theta: float
-    # its search from a given start stopped at an end of the log theta
-    # range and was run again from the scan
-    rescanned: bool = False
-
-    def estimate_vector(self, names: Sequence[str]) -> np.ndarray:
-        return np.array([self.estimates[n] for n in names])
+    """The REML fits of M replicates, row i replicate i's: (M, q) estimates
+    and standard errors of the regressors ``names``, the rest (M,) arrays.
+    ``rescanned`` marks a fit whose search from a given start stopped at an
+    end of the log theta range and was run again from the scan."""
+    names: Tuple[str, ...]
+    estimates: np.ndarray
+    standard_errors: np.ndarray
+    sigma0_sq: np.ndarray
+    sigma1_sq: np.ndarray
+    loglik: np.ndarray
+    converged: np.ndarray
+    theta: np.ndarray
+    rescanned: np.ndarray
 
 
 # Log theta is searched over [_LOG_THETA_LO, _LOG_THETA_HI] by Newton, from
@@ -260,19 +260,11 @@ class MixedModelData:
         classes[:, :, :, p] = classes[:, :, p]
 
     def outcomes(self, Y) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``_stats`` of Y alone, which every fit of Y shares."""
+        """Per replicate i the cross products (M, k, k) of [X, Y[i]] and
+        their size-class sums (M, S, k, k), which every fit of Y shares and
+        a column U borders (``_border(outcomes(Y), U, [Y])``)."""
         return self._border(tuple(np.broadcast_to(a, (len(Y),) + a.shape)
                                   for a in (self.xtx, self.x_classes)), Y, [])[:2]
-
-    def _stats(self, Y, extra=None, base=None):
-        """Per replicate i the cross products (M, k, k) of [X, V_i] and
-        their size-class sums (M, S, k, k), V_i = [U[i], Y[i]] for
-        ``extra`` = (name, U) and [Y[i]] otherwise; ``base``, if given, is
-        the ``outcomes(Y)`` that U borders."""
-        base = base or self.outcomes(Y)
-        if extra is None:
-            return base
-        return self._border(base, extra[1], [Y])[:2]
 
     @cached_property
     def _unit_xtx(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -424,48 +416,39 @@ class MixedModelData:
                 a[rows] = b[lower]
         return u, best, failed, edge, rescanned
 
-    def fit(self, Y, extra: Optional[Tuple[str, np.ndarray]] = None,
-            start: Optional[np.ndarray] = None, base=None,
-            stats=None) -> List[MixedFit]:
-        """REML fits of the outcome vectors Y[0..M-1], in order. ``extra`` =
-        (name, U) adds a regressor that differs by replicate: row i of the
-        (M, n) array U goes with Y[i]. ``start``, a theta per replicate such as
-        an earlier fit's, replaces the scan; ``base`` is ``outcomes(Y)``. An
-        extra column collinear with X is refused.
-
-        ``stats``, if given, are the ``_stats(Y, extra, base)`` that the
-        caller holds, and ``extra`` then only names the column: a
-        sensitivity sweep passes the statistics it updates between grid
-        points, one block at a time. Such a call fits part of the caller's
-        replicates, so the caller reports the fits that did not converge;
-        otherwise one warning counts them.
+    def fit(self, Y, name: Optional[str] = None,
+            start: Optional[np.ndarray] = None, stats=None) -> MixedFit:
+        """REML fits of the outcome vectors Y[0..M-1], one ``MixedFit`` whose
+        row i is Y[i]'s. ``start``, a theta per replicate such as an earlier
+        fit's, replaces the scan. ``stats``, if given, are the caller's
+        ``outcomes(Y)``, or those bordered by a column that differs by
+        replicate, ``_border(outcomes(Y), U, [Y])[:2]`` with row i of the
+        (M, n) array U going with Y[i]; ``name`` names that column, which is
+        refused if collinear with X. A sensitivity sweep passes the
+        statistics it updates between grid points, one block at a time, and
+        reports the fits that did not converge; otherwise one warning counts
+        them.
 
         The replicates are fitted in consecutive blocks of _BLOCK, which
         bounds the statistics held at once whatever M is; a replicate's fit
         does not depend on its block."""
-        names = self.names + (() if extra is None else (extra[0],))
-        m, fits, unconverged = len(Y), [], 0
-        blocks = range(0, m, _BLOCK)
+        names = self.names + (() if name is None else (name,))
+        blocks, parts = range(0, len(Y), _BLOCK), []
         for b, lo in enumerate(blocks):
             rows = slice(lo, lo + _BLOCK)
-            done, stuck = self._fit_block(
-                tuple(a[rows] for a in stats) if stats is not None else
-                self._stats(Y[rows], None if extra is None
-                            else (extra[0], extra[1][rows]),
-                            None if base is None
-                            else tuple(a[rows] for a in base)),
+            parts.append(self._fit_block(
+                self.outcomes(Y[rows]) if stats is None
+                else tuple(a[rows] for a in stats),
                 names, None if start is None else start[rows],
-                f"block {b + 1} of {len(blocks)}")
-            fits += done
-            unconverged += stuck
+                f"block {b + 1} of {len(blocks)}"))
+        fits = MixedFit(names, *map(np.concatenate, zip(*parts)))
         if stats is None:
-            warn_unconverged(unconverged, m)
+            warn_unconverged(np.count_nonzero(~fits.converged), len(Y))
         return fits
 
-    def _fit_block(self, stats, names, start,
-                   block) -> Tuple[List[MixedFit], int]:
-        """``fit`` of one block from its statistics: its fits and how many
-        did not converge."""
+    def _fit_block(self, stats, names, start, block) -> Tuple[np.ndarray, ...]:
+        """``fit`` of one block from its statistics: the fields of its
+        ``MixedFit`` after ``names``."""
         m, q = len(stats[0]), len(names)
         if q > self.p:
             self._check_column(stats[0], names[-1])
@@ -481,6 +464,12 @@ class MixedModelData:
         if start is not None:
             start = np.log(np.fmax(np.asarray(start, float)[live], np.exp(_LOG_THETA_LO)))
         u, best, stopped, edge, again = self._search(search, start, block)
+        # the scan stops short of the upper end of the range, so a criterion
+        # still falling there is seen only at the end: an edge stop
+        top = self.profile_criterion(
+            np.full(len(u), np.exp(_LOG_THETA_HI)), search)[0]
+        past = top < np.minimum(best, crit0[live])
+        u[past], best[past], edge[past] = _LOG_THETA_HI, top[past], True
         theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
         rescanned = np.zeros(m, dtype=bool)
         theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
@@ -500,13 +489,8 @@ class MixedModelData:
         # the REML log-likelihood at sigma1^2 = rss / (n - q)
         loglik = np.where(degenerate, math.inf, -0.5 * (
             criterion + (self.n - q) * (math.log(2.0 * math.pi / (self.n - q)) + 1.0)))
-        return [MixedFit(estimates=dict(zip(names, gamma[i])),
-                         standard_errors=dict(zip(names, se[i])),
-                         sigma0_sq=float(theta[i] * sigma1_sq[i]),
-                         sigma1_sq=float(sigma1_sq[i]), loglik=float(loglik[i]),
-                         converged=not unconverged[i], theta=float(theta[i]),
-                         rescanned=bool(rescanned[i]))
-                for i in range(m)], int(unconverged.sum())
+        return (gamma, se, theta * sigma1_sq, sigma1_sq, loglik, ~unconverged,
+                theta, rescanned)
 
 
 def warn_unconverged(count: int, m: int) -> None:
@@ -524,8 +508,8 @@ def fit_mixed_lpm(
     y: np.ndarray,
     names: Sequence[str] = REGRESSORS,
 ) -> MixedFit:
-    """One-shot REML fit of the random-intercept linear probability model."""
-    return MixedModelData(X, cluster_codes, names).fit([y])[0]
+    """One-shot REML fit of the random-intercept LPM: a one-row MixedFit."""
+    return MixedModelData(X, cluster_codes, names).fit([y])
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +636,6 @@ def _cell_rate(observed: np.ndarray, mask: np.ndarray) -> float:
     return float(values.mean())
 
 
-def pool_fits(fits: Sequence[MixedFit]) -> Dict[str, PooledEstimate]:
-    """Pool the estimates of M >= 2 fits of one model by Rubin's rules."""
-    names = tuple(fits[0].estimates) if fits else ()
-    est = np.array([f.estimate_vector(names) for f in fits])
-    var = np.array([[f.standard_errors[n] ** 2 for n in names] for f in fits])
-    return rubin_combine(est, var, names)
-
-
 def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
     """Fit the outcome model on every completed data set, a row of the
     (M, n) outcome matrix ``imputed``, pool by Rubin's rules, and report
@@ -668,7 +644,7 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
     (``theta``), from which ``sensitivity_grid`` can start its refits."""
     names = design.regressors
     fits = MixedModelData(design.X, design.cluster_codes, names).fit(imputed)
-    pooled = pool_fits(fits)
+    pooled = rubin_combine(fits.estimates, fits.standard_errors ** 2, names)
 
     cells = design.cell_masks
     a = _cell_rate(design.observed_lbw, cells["hl_early"])
@@ -694,9 +670,9 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
         m=len(imputed),
         n_records=design.n_records,
         n_clusters=design.n_clusters,
-        sigma0_sq_mean=float(np.mean([f.sigma0_sq for f in fits])),
-        sigma1_sq_mean=float(np.mean([f.sigma1_sq for f in fits])),
-        theta=tuple(f.theta for f in fits),
+        sigma0_sq_mean=float(np.mean(fits.sigma0_sq)),
+        sigma1_sq_mean=float(np.mean(fits.sigma1_sq)),
+        theta=tuple(fits.theta.tolist()),
     )
 
 

@@ -75,20 +75,6 @@ def u_probability(low_prevalence, completed_lbw, p1: float, p2: float):
     return 0.5 + (p1 / 100.0) * low + (p2 / 100.0) * lbw
 
 
-def gen_u(
-    low_prevalence: np.ndarray,
-    completed_lbw: np.ndarray,
-    p1: float,
-    p2: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One independent 0/1 draw per record. Every attainable probability
-    is validated before any draw happens."""
-    validate_u_probabilities(p1, p2)
-    prob = u_probability(low_prevalence, completed_lbw, p1, p2)
-    return (rng.random(len(prob)) < prob).astype(np.int8)
-
-
 @dataclass(frozen=True)
 class SensitivityResult:
     p1: float
@@ -201,11 +187,12 @@ def _refits(design: InferenceDesign, imputed, points, seed: int,
     imputed = np.asarray(imputed)
     m, n = imputed.shape
     if theta is None:
-        theta = [f.theta for f in data.fit(imputed)]
+        theta = data.fit(imputed).theta
     elif len(theta) != m:
         raise DataValidationError(f"{len(theta)} primary variance ratios "
                                   f"for {m} replicates")
     theta = np.asarray(theta, dtype=float)
+    cols = [(design.regressors + (U_REGRESSOR,)).index(c) for c in columns]
     probs = [u_probability(_CLASS_LOW, _CLASS_OUTCOME, p1, p2)
              for p1, p2 in points]
     est = np.empty((len(points), m, len(columns)))
@@ -223,13 +210,12 @@ def _refits(design: InferenceDesign, imputed, points, seed: int,
                                 lo + 1, probs)
             else:
                 flipped[j] += state.move(j)
-            fits = data.fit(Y, (U_REGRESSOR, None), start=theta[rows],
+            fits = data.fit(Y, U_REGRESSOR, start=theta[rows],
                             stats=state.stats)
-            est[j, rows] = [f.estimate_vector(columns) for f in fits]
-            var[j, rows] = [[f.standard_errors[k] ** 2 for k in columns]
-                            for f in fits]
-            stuck[j] += sum(not f.converged for f in fits)
-            rescanned[j] += sum(f.rescanned for f in fits)
+            est[j, rows] = fits.estimates[:, cols]
+            var[j, rows] = fits.standard_errors[:, cols] ** 2
+            stuck[j] += np.count_nonzero(~fits.converged)
+            rescanned[j] += np.count_nonzero(fits.rescanned)
     for j, (p1, p2) in enumerate(points):
         warn_unconverged(int(stuck[j]), m)
         _log.debug("sensitivity point (%g, %g): U flipped on %d of %d "

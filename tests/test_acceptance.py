@@ -218,8 +218,8 @@ def test_05_mixed_model():
     y = X @ np.array([0.3, -0.2, 0.1]) + eps
     fit = fit_mixed_lpm(X, codes, y, ("a", "b", "c"))
     ols = np.linalg.lstsq(X, y, rcond=None)[0]
-    gap = float(np.max(np.abs(fit.estimate_vector(("a", "b", "c")) - ols)))
-    ok_a = fit.sigma0_sq == 0.0 and gap < 1e-6
+    gap = float(np.max(np.abs(fit.estimates[0] - ols)))
+    ok_a = fit.sigma0_sq[0] == 0.0 and gap < 1e-6
 
     # (b) 100 replications of 200 clusters x 30 births from the linear
     # cell-probability model; per regressor, the estimate must fall inside
@@ -258,8 +258,8 @@ def test_05_mixed_model():
         p = np.clip(rows @ gamma + alpha[codes], 0.001, 0.999)
         y = (rng.random(len(p)) < p).astype(float)
         fit = fit_mixed_lpm(rows, codes, y)
-        for name in REGRESSORS:
-            if abs(fit.estimates[name] - truth[name]) <= 3 * fit.standard_errors[name]:
+        for j, name in enumerate(REGRESSORS):
+            if abs(fit.estimates[0, j] - truth[name]) <= 3 * fit.standard_errors[0, j]:
                 hits[name] += 1
     worst = min(hits.values())
     ok_b = worst >= 95

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from matchdid import infer
+from matchdid import infer, sensan
 from matchdid.errors import DataValidationError
 from matchdid.impute import draw_imputations
 from matchdid.infer import REGRESSORS, MixedModelData, run_primary_analysis
@@ -17,7 +17,6 @@ from matchdid.sensan import (
     _BlockU,
     case_label,
     default_grid,
-    gen_u,
     sensitivity_fit,
     sensitivity_grid,
     u_probability,
@@ -26,38 +25,16 @@ from matchdid.sensan import (
 from matchdid._util import substream
 
 
-class TestGenU:
+class TestUProbability:
     def test_probability_arithmetic(self):
         assert u_probability(1, 0, 10.0, 0.0) == pytest.approx(0.6, abs=1e-15)
         assert u_probability(0, 1, 10.0, 5.0) == pytest.approx(0.55, abs=1e-15)
         assert u_probability(1, 1, 10.0, 5.0) == pytest.approx(0.65, abs=1e-15)
         assert u_probability(0, 0, 10.0, 5.0) == 0.5
 
-    def test_pure_noise_mean(self):
-        n = 100_000
-        rng = substream(0, "test-u")
-        u = gen_u(np.zeros(n), np.zeros(n), 0.0, 0.0, rng)
-        sd = math.sqrt(0.25 / n)
-        assert abs(u.mean() - 0.5) < 3 * sd
-
-    def test_shifted_mean(self):
-        n = 100_000
-        rng = substream(1, "test-u")
-        u = gen_u(np.ones(n), np.zeros(n), 10.0, 5.0, rng)
-        sd = math.sqrt(0.6 * 0.4 / n)
-        assert abs(u.mean() - 0.6) < 3 * sd
-
-    def test_invalid_parameters_fail_before_draws(self):
-        rng = substream(2, "test-u")
-        with pytest.raises(DataValidationError):
-            gen_u(np.ones(10), np.ones(10), 30.0, 30.0, rng)
-        # the generator was never advanced
-        probe = substream(2, "test-u")
-        assert rng.random() == probe.random()
-
     def test_misaligned_vectors(self):
         with pytest.raises(DataValidationError):
-            gen_u(np.ones(3), np.ones(4), 0.0, 0.0, substream(3))
+            u_probability(np.ones(3), np.ones(4), 0.0, 0.0)
 
 
 class TestCaseLabel:
@@ -103,6 +80,15 @@ class TestSensitivityFit:
                 for p2 in p2_grid]
         assert all(b > a for a, b in zip(down, down[1:]))  # increasing in p2
 
+    def test_invalid_parameters_fail_before_draws(self, analysis, monkeypatch):
+        design, _, sets = analysis
+        drawn = []
+        monkeypatch.setattr(sensan, "substream", lambda *key: drawn.append(key))
+        with pytest.raises(DataValidationError):
+            sensitivity_fit(design, sets, 30.0, 30.0, seed=2)
+        # no U generator was ever made
+        assert drawn == []
+
 
 class TestCollinearU:
     @pytest.mark.parametrize("column", ["constant", "low_prevalence"])
@@ -115,7 +101,8 @@ class TestCollinearU:
         data = MixedModelData(design.X, design.cluster_codes, design.regressors)
         with pytest.raises(DataValidationError,
                            match=f"collinear columns: {U_REGRESSOR}"):
-            data.fit(sets, extra=(U_REGRESSOR, U))
+            data.fit(sets, U_REGRESSOR,
+                     stats=data._border(data.outcomes(sets), U, [sets])[:2])
 
 
 class TestGrid:
@@ -201,8 +188,32 @@ class TestCommonRandomNumbers:
                 state.move(j)
             U = np.array([v < u_probability(low, y, p1, p2)
                           for v, y in zip(V, sets)])
-            for a, b in zip(state.stats, data._stats(sets, ("u", U), base)):
+            for a, b in zip(state.stats, data._border(base, U, [sets])[:2]):
                 assert np.array_equal(a, b), (p1, p2)
+
+    @staticmethod
+    def _u_means(p1, p2, seed):
+        """The sweep's U at (p1, p2) for one replicate of 100,000 records,
+        every other one low prevalence and none with a completed outcome:
+        U's mean over all records and over the low-prevalence ones, read
+        off U's cross products with the intercept and the indicator."""
+        n = 100_000
+        X = np.column_stack([np.ones(n), np.arange(n) % 2])
+        data = MixedModelData(X, np.arange(n) // 100,
+                              ("intercept", "low_prevalence"))
+        Y = np.zeros((1, n), dtype=np.int8)
+        probs = [u_probability(_CLASS_LOW, _CLASS_OUTCOME, p1, p2)]
+        state = _BlockU(data, X, data.outcomes(Y), Y, seed, 1, probs)
+        ones, on_low = state.gram[0, data.p, :data.p]
+        return ones / n, on_low / (n // 2)
+
+    def test_pure_noise_mean(self):
+        mean, _ = self._u_means(0.0, 0.0, seed=0)
+        assert abs(mean - 0.5) < 3 * math.sqrt(0.25 / 100_000)
+
+    def test_shifted_mean(self):
+        _, on_low = self._u_means(10.0, 5.0, seed=1)
+        assert abs(on_low - 0.6) < 3 * math.sqrt(0.6 * 0.4 / 50_000)
 
     def test_grid_rows_equal_sensitivity_fit_over_two_blocks(self, analysis):
         design, model, _ = analysis
