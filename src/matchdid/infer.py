@@ -11,8 +11,8 @@ at once do not grow with M. An evaluation forms the bordered matrix [X,
 y]'V^-1[X, y] from the S class sums, reads the criterion off its batched
 Cholesky factor (Bates and DebRoy, JMVA 2004) and its first two derivatives
 in log theta off the factor's inverse. Each replicate's optimum is found by a safeguarded Newton
-iteration (Lindstrom and Bates, JASA 1988) from the best point of a scan, or
-from a given start when a sweep refits with an extra column.
+iteration (Lindstrom and Bates, JASA 1988) from the best point of a scan;
+every fit, with or without an extra column, searches this one way.
 """
 
 from __future__ import annotations
@@ -146,9 +146,7 @@ def build_design(
 @dataclass(frozen=True)
 class MixedFit:
     """The REML fits of M replicates, row i replicate i's: (M, q) estimates
-    and standard errors of the regressors ``names``, the rest (M,) arrays.
-    ``rescanned`` marks a fit whose search from a given start stopped at an
-    end of the log theta range and was run again from the scan."""
+    and standard errors of the regressors ``names``, the rest (M,) arrays."""
     names: Tuple[str, ...]
     estimates: np.ndarray
     standard_errors: np.ndarray
@@ -157,12 +155,11 @@ class MixedFit:
     loglik: np.ndarray
     converged: np.ndarray
     theta: np.ndarray
-    rescanned: np.ndarray
 
 
 # Log theta is searched over [_LOG_THETA_LO, _LOG_THETA_HI] by Newton, from
-# a given start or the best point of the _SCAN grid, to a step below
-# _STEP_TOL. A fit ending within _EDGE_TOL of an end located no optimum.
+# the best point of the _SCAN grid, to a step below _STEP_TOL. A fit ending
+# within _EDGE_TOL of an end located no optimum.
 _SCAN = np.linspace(-14.0, 10.0, 49)
 _LOG_THETA_LO, _LOG_THETA_HI = -15.5, 11.5
 _EDGE_TOL = 1e-9
@@ -357,11 +354,15 @@ class MixedModelData:
         in a bracket shrunk by its gradient's sign, by Newton's step in c =
         theta / (1 + theta n0) (n0 the smallest cluster size) or else in log
         theta, where convex and in the bracket, else by bisection; a step
-        past an end lands on it. Returns (u, criterion, steps, still going
-        at _MAX_STEPS, evaluations)."""
+        past an end lands on it. A replicate stops when its step falls below
+        _STEP_TOL or when it would step back to its previous iterate: there
+        the gradient is rounding noise, and the iterates would cycle until
+        _MAX_STEPS. Returns (u, criterion, steps, still going at _MAX_STEPS,
+        evaluations)."""
         m, n0, evals = len(u), self.sizes[0], 0
         lo, hi = np.full(m, _LOG_THETA_LO), np.full(m, _LOG_THETA_HI)
         best, steps = np.empty(m), np.zeros(m, dtype=np.int64)
+        previous = np.full(m, np.nan)
         active = np.ones(m, dtype=bool)
         while (active & (steps < _MAX_STEPS)).any():
             rows = np.flatnonzero(active & (steps < _MAX_STEPS))
@@ -385,53 +386,29 @@ class MixedModelData:
             t = np.clip(t, _LOG_THETA_LO, _LOG_THETA_HI)
             t = np.where((lo[rows] <= t) & (t <= hi[rows]), t,
                          0.5 * (lo[rows] + hi[rows]))
-            stop = np.abs(t - x) < _STEP_TOL
-            u[rows] = np.where(stop, x, t)
+            stop = (np.abs(t - x) < _STEP_TOL) | (t == previous[rows])
+            u[rows], previous[rows] = np.where(stop, x, t), x
             active[rows[stop]] = False
         return u, best, steps, active, evals
 
-    def _search(self, stats, start, block) -> Tuple[np.ndarray, ...]:
-        """``_newton`` from ``start`` or else from the best point of _SCAN,
-        which scores all replicates at one point per call; logs its calls
-        with ``block``, the name of the block searched."""
-        m, scores = len(stats[0]), []
-        if start is None:
-            scores = [self.profile_criterion(np.full(m, np.exp(g)), stats)[0]
-                      for g in _SCAN]
-            start = _SCAN[np.argmin(scores, axis=0)]
-        u, best, steps, failed, evals = self._newton(
-            np.clip(start, _LOG_THETA_LO, _LOG_THETA_HI), stats)
-        _log.debug("REML search of %d replicates, %s: %d scan and %d Newton "
-                   "calls, at most %d steps", m, block, len(scores), evals,
-                   steps.max(initial=0))
-        edge = (u < _LOG_THETA_LO + _EDGE_TOL) | (u > _LOG_THETA_HI - _EDGE_TOL)
-        rescanned = np.zeros(m, dtype=bool)
-        if not scores and edge.any():
-            # from a start, it may stop at an end beside a lower minimum
-            rescanned = edge.copy()
-            again = self._search(tuple(a[edge] for a in stats), None, block)
-            lower = again[1] < best[edge]
-            rows = np.flatnonzero(edge)[lower]
-            for a, b in zip((u, best, failed, edge), again):
-                a[rows] = b[lower]
-        return u, best, failed, edge, rescanned
-
-    def fit(self, Y, name: Optional[str] = None,
-            start: Optional[np.ndarray] = None, stats=None) -> MixedFit:
+    def fit(self, Y, name: Optional[str] = None, stats=None) -> MixedFit:
         """REML fits of the outcome vectors Y[0..M-1], one ``MixedFit`` whose
-        row i is Y[i]'s. ``start``, a theta per replicate such as an earlier
-        fit's, replaces the scan. ``stats``, if given, are the caller's
+        row i is Y[i]'s. ``stats``, if given, are the caller's
         ``outcomes(Y)``, or those bordered by a column that differs by
         replicate, ``_border(outcomes(Y), U, [Y])[:2]`` with row i of the
         (M, n) array U going with Y[i]; ``name`` names that column, which is
-        refused if collinear with X. A sensitivity sweep passes the
-        statistics it updates between grid points, one block at a time, and
-        reports the fits that did not converge; otherwise one warning counts
-        them.
+        refused if collinear with X, and is refused without ``stats``. A
+        sensitivity sweep passes the statistics it updates between grid
+        points, one block at a time, and reports the fits that did not
+        converge; otherwise one warning counts them.
 
         The replicates are fitted in consecutive blocks of _BLOCK, which
         bounds the statistics held at once whatever M is; a replicate's fit
         does not depend on its block."""
+        if name is not None and stats is None:
+            raise DataValidationError(
+                f"column {name!r} came without stats=: a named column "
+                f"reaches fit only through stats=, the statistics it borders")
         names = self.names + (() if name is None else (name,))
         blocks, parts = range(0, len(Y), _BLOCK), []
         for b, lo in enumerate(blocks):
@@ -439,16 +416,15 @@ class MixedModelData:
             parts.append(self._fit_block(
                 self.outcomes(Y[rows]) if stats is None
                 else tuple(a[rows] for a in stats),
-                names, None if start is None else start[rows],
-                f"block {b + 1} of {len(blocks)}"))
+                names, f"block {b + 1} of {len(blocks)}"))
         fits = MixedFit(names, *map(np.concatenate, zip(*parts)))
         if stats is None:
             warn_unconverged(np.count_nonzero(~fits.converged), len(Y))
         return fits
 
-    def _fit_block(self, stats, names, start, block) -> Tuple[np.ndarray, ...]:
-        """``fit`` of one block from its statistics: the fields of its
-        ``MixedFit`` after ``names``."""
+    def _fit_block(self, stats, names, block) -> Tuple[np.ndarray, ...]:
+        """``fit`` of one block, named ``block`` in its DEBUG record, from
+        its statistics: the fields of its ``MixedFit`` after ``names``."""
         m, q = len(stats[0]), len(names)
         if q > self.p:
             self._check_column(stats[0], names[-1])
@@ -461,20 +437,25 @@ class MixedModelData:
         live = ~degenerate
         # a copy of the statistics only when some replicate is left out
         search = stats if live.all() else tuple(a[live] for a in stats)
-        if start is not None:
-            start = np.log(np.fmax(np.asarray(start, float)[live], np.exp(_LOG_THETA_LO)))
-        u, best, stopped, edge, again = self._search(search, start, block)
+        # Newton from the best point of the scan, which scores all the
+        # searched replicates at one point per call
+        k = len(search[0])
+        scores = [self.profile_criterion(np.full(k, np.exp(g)), search)[0]
+                  for g in _SCAN]
+        u, best, steps, stopped, evals = self._newton(
+            _SCAN[np.argmin(scores, axis=0)], search)
+        _log.debug("REML search of %d replicates, %s: %d scan and %d Newton "
+                   "calls, at most %d steps", k, block, len(scores), evals,
+                   steps.max(initial=0))
+        edge = (u < _LOG_THETA_LO + _EDGE_TOL) | (u > _LOG_THETA_HI - _EDGE_TOL)
         # the scan stops short of the upper end of the range, so a criterion
         # still falling there is seen only at the end: an edge stop
-        top = self.profile_criterion(
-            np.full(len(u), np.exp(_LOG_THETA_HI)), search)[0]
+        top = self.profile_criterion(np.full(k, np.exp(_LOG_THETA_HI)), search)[0]
         past = top < np.minimum(best, crit0[live])
         u[past], best[past], edge[past] = _LOG_THETA_HI, top[past], True
         theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
-        rescanned = np.zeros(m, dtype=bool)
         theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
         unconverged[live] = stopped | ((theta[live] > 0) & edge)
-        rescanned[live] = again
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
         # the statistics are done with; unless the caller keeps them,
         # freeing them here keeps the peak memory of a fit at its search's
@@ -489,8 +470,7 @@ class MixedModelData:
         # the REML log-likelihood at sigma1^2 = rss / (n - q)
         loglik = np.where(degenerate, math.inf, -0.5 * (
             criterion + (self.n - q) * (math.log(2.0 * math.pi / (self.n - q)) + 1.0)))
-        return (gamma, se, theta * sigma1_sq, sigma1_sq, loglik, ~unconverged,
-                theta, rescanned)
+        return gamma, se, theta * sigma1_sq, sigma1_sq, loglik, ~unconverged, theta
 
 
 def warn_unconverged(count: int, m: int) -> None:
@@ -623,9 +603,6 @@ class PrimaryResult:
     n_clusters: int
     sigma0_sq_mean: float
     sigma1_sq_mean: float
-    # each replicate's variance ratio sigma0^2/sigma1^2, in replicate order;
-    # a sensitivity sweep starts its refits from them
-    theta: Tuple[float, ...]
 
 
 def _cell_rate(observed: np.ndarray, mask: np.ndarray) -> float:
@@ -640,8 +617,7 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
     """Fit the outcome model on every completed data set, a row of the
     (M, n) outcome matrix ``imputed``, pool by Rubin's rules, and report
     the naive four-cell contrast and the covariate drift term over treated
-    pairs for comparison. The result keeps each replicate's variance ratio
-    (``theta``), from which ``sensitivity_grid`` can start its refits."""
+    pairs for comparison."""
     names = design.regressors
     fits = MixedModelData(design.X, design.cluster_codes, names).fit(imputed)
     pooled = rubin_combine(fits.estimates, fits.standard_errors ** 2, names)
@@ -672,7 +648,6 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
         n_clusters=design.n_clusters,
         sigma0_sq_mean=float(np.mean(fits.sigma0_sq)),
         sigma1_sq_mean=float(np.mean(fits.sigma1_sq)),
-        theta=tuple(fits.theta.tolist()),
     )
 
 

@@ -20,7 +20,7 @@ import json
 from dataclasses import asdict
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ._util import (flag, optional, read_csv, read_json, sha256_file,
                     write_csv, write_json)
@@ -78,8 +78,7 @@ PRODUCERS = {"study_years.csv": "ingest", "pairs.csv": "match-geo",
 # what a Workspace keeps, with the files each is derived from: a stage that
 # rewrites one of those files drops it
 KEPT = {"tables": INPUTS, "design": DESIGN_INPUTS,
-        "imputed": (*DESIGN_INPUTS, "imputations.csv"),
-        "theta": (*DESIGN_INPUTS, "imputations.csv")}
+        "imputed": (*DESIGN_INPUTS, "imputations.csv")}
 
 
 class Workspace:
@@ -88,15 +87,11 @@ class Workspace:
 
     The input tables, the inference design and the (M, n) imputed outcome
     matrix are read or built on first use and kept; ``stage_impute`` keeps
-    the matrix it drew and ``stage_fit`` the primary fit's variance ratios
-    (``theta``). The SHA-256 of each file a manifest hashed is kept too.
-    Writing a file through ``output`` drops its hash and whatever is derived
-    from it (``KEPT``), so a later stage reads the new file. Every other
-    stage artifact is read from disk each time it is asked for.
+    the matrix it drew. The SHA-256 of each file a manifest hashed is kept
+    too. Writing a file through ``output`` drops its hash and whatever is
+    derived from it (``KEPT``), so a later stage reads the new file. Every
+    other stage artifact is read from disk each time it is asked for.
     """
-
-    # the primary fit's variance ratios, in replicate order, once fitted
-    theta: Optional[Tuple[float, ...]] = None
 
     def __init__(self, cfg: RunConfig, out_dir) -> None:
         self.cfg = cfg
@@ -360,7 +355,6 @@ def stage_impute(ws: Workspace, seed: int):
 
 def stage_fit(ws: Workspace, seed: int):
     result = run_primary_analysis(ws.design, ws.imputed)
-    ws.theta = result.theta
 
     write_results_csv(result.pooled, ws.output("results.csv"))
     write_diagnostics_csv(result.pooled, ws.output("diagnostics.csv"))
@@ -385,7 +379,7 @@ def stage_fit(ws: Workspace, seed: int):
 
 def stage_sensitivity(ws: Workspace, seed: int):
     rows = sensitivity_grid(ws.design, ws.imputed, seed,
-                            grid=ws.cfg.sensitivity.grid, theta=ws.theta)
+                            grid=ws.cfg.sensitivity.grid)
     write_sensitivity_csv(rows, ws.output("sensitivity.csv"))
     ws.manifest("sensitivity", seed, [*DESIGN_INPUTS, "imputations.csv"],
                 ["sensitivity.csv"])

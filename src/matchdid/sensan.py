@@ -5,8 +5,9 @@ covariate U is regenerated inside each imputed data set with
 P(U=1) = 0.5 + p1/100 * 1(low prevalence) + p2/100 * 1(completed outcome),
 the outcome model is refitted with U as an extra regressor, and the
 low-prevalence coefficient (and the U coefficient, which is estimated,
-never fixed) are pooled by Rubin's rules. The grid sweep groups results
-into the four sign cases of (p1, p2).
+never fixed) are pooled by Rubin's rules. Each refit is an ordinary REML
+fit of its own data set, searched as the primary fit is. The grid sweep
+groups results into the four sign cases of (p1, p2).
 
 The grid points share their random numbers (common random numbers;
 Glasserman and Yao, Management Science 1992): replicate m draws one
@@ -176,29 +177,20 @@ def _require_integers(data: MixedModelData) -> None:
 
 
 def _refits(design: InferenceDesign, imputed, points, seed: int,
-            theta: Optional[Sequence[float]], columns: Sequence[str]):
+            columns: Sequence[str]):
     """Refit every replicate with U at each of ``points``, valid (p1, p2)
-    pairs, from the primary fit's variance ratios ``theta`` (fitted here if
-    not given). Returns the estimates of the regressors ``columns`` and
-    their squared standard errors, two (len(points), M, len(columns))
-    arrays."""
+    pairs. Returns the estimates of the regressors ``columns`` and their
+    squared standard errors, two (len(points), M, len(columns)) arrays."""
     data = MixedModelData(design.X, design.cluster_codes, design.regressors)
     _require_integers(data)
     imputed = np.asarray(imputed)
     m, n = imputed.shape
-    if theta is None:
-        theta = data.fit(imputed).theta
-    elif len(theta) != m:
-        raise DataValidationError(f"{len(theta)} primary variance ratios "
-                                  f"for {m} replicates")
-    theta = np.asarray(theta, dtype=float)
     cols = [(design.regressors + (U_REGRESSOR,)).index(c) for c in columns]
     probs = [u_probability(_CLASS_LOW, _CLASS_OUTCOME, p1, p2)
              for p1, p2 in points]
     est = np.empty((len(points), m, len(columns)))
     var = np.empty_like(est)
-    stuck, flipped, rescanned = (np.zeros(len(points), dtype=np.int64)
-                                 for _ in range(3))
+    stuck, flipped = (np.zeros(len(points), dtype=np.int64) for _ in range(2))
     for lo in range(0, m, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         Y = imputed[rows]
@@ -210,18 +202,15 @@ def _refits(design: InferenceDesign, imputed, points, seed: int,
                                 lo + 1, probs)
             else:
                 flipped[j] += state.move(j)
-            fits = data.fit(Y, U_REGRESSOR, start=theta[rows],
-                            stats=state.stats)
+            fits = data.fit(Y, U_REGRESSOR, stats=state.stats)
             est[j, rows] = fits.estimates[:, cols]
             var[j, rows] = fits.standard_errors[:, cols] ** 2
             stuck[j] += np.count_nonzero(~fits.converged)
-            rescanned[j] += np.count_nonzero(fits.rescanned)
     for j, (p1, p2) in enumerate(points):
         warn_unconverged(int(stuck[j]), m)
         _log.debug("sensitivity point (%g, %g): U flipped on %d of %d "
                    "entries since the previous point (all are drawn at the "
-                   "first), %d of %d replicates searched again from the scan",
-                   p1, p2, flipped[j], m * n, rescanned[j], m)
+                   "first)", p1, p2, flipped[j], m * n)
     return est, var
 
 
@@ -231,7 +220,6 @@ def sensitivity_fit(
     p1: float,
     p2: float,
     seed: int,
-    theta: Optional[Sequence[float]] = None,
 ) -> SensitivityResult:
     """Refit the outcome model with a U per replicate and pool.
 
@@ -240,13 +228,13 @@ def sensitivity_fit(
     drawn on the substream keyed by (seed, "sensan", m), the same at every
     (p1, p2); the result equals the ``sensitivity_grid`` row of (p1, p2) for
     the same seed bit for bit. The replicates are fitted in blocks of 64,
-    with U bordering the shared design, each from its variance ratio in the
-    primary fit, ``theta`` (fitted here if not given). The design must be
-    integer-valued, as ``build_design`` makes it.
+    with U bordering the shared design, each by the same REML search as the
+    primary fit. The design must be integer-valued, as ``build_design``
+    makes it.
     """
     validate_u_probabilities(p1, p2)
     names = design.regressors + (U_REGRESSOR,)
-    est, var = _refits(design, imputed, [(p1, p2)], seed, theta, names)
+    est, var = _refits(design, imputed, [(p1, p2)], seed, names)
     pooled = rubin_combine(est[0], var[0], names)
     return SensitivityResult(
         p1=p1, p2=p2, case=case_label(p1, p2),
@@ -283,20 +271,17 @@ def sensitivity_grid(
     imputed: np.ndarray,
     seed: int,
     grid: Optional[Sequence[Tuple[float, float]]] = None,
-    theta: Optional[Sequence[float]] = None,
 ) -> List[SensitivityRow]:
-    """One sensitivity fit per grid point, all from one primary fit; invalid
-    points are skipped with a warning row rather than aborting the sweep.
+    """One sensitivity fit per grid point; invalid points are skipped with
+    a warning row rather than aborting the sweep.
 
     The points share each replicate's uniforms, drawn once on the
     substream keyed by (seed, "sensan", m), so a row equals
     ``sensitivity_fit`` at its point. The sweep fits a block of replicates
     at every point before the next block, and logs one warning per point
     that counts its fits that did not converge, and one DEBUG record per
-    point on ``matchdid.sensan``. ``theta``, the primary fit's variance
-    ratios in replicate order (the ``theta`` of ``run_primary_analysis``'s
-    result), spares the sweep fitting the primary model again; the rows are
-    the same either way."""
+    point on ``matchdid.sensan``. Each refit is an ordinary REML fit of its
+    own data set; the primary model is not fitted."""
     points = default_grid() if grid is None else list(grid)
     notes: List[Optional[str]] = []
     for p1, p2 in points:
@@ -307,7 +292,7 @@ def sensitivity_grid(
             notes.append(str(exc))
     est, var = _refits(design, imputed, [
         point for point, note in zip(points, notes) if note is None],
-        seed, theta, ["low_prevalence"])
+        seed, ["low_prevalence"])
     pooled = iter([rubin_combine(e, v, ["low_prevalence"])["low_prevalence"]
                    for e, v in zip(est, var)])
     rows: List[SensitivityRow] = []

@@ -768,7 +768,8 @@ def test_pipeline_computes_each_thing_once(tmp_path, monkeypatch):
     """One quickstart pipeline process builds the design once, never reads
     back the imputations it drew, fits the primary model once (33 fits with
     the 32 grid points) and hashes each input once and each file once per
-    write; classify rewrites pairs.csv."""
+    write; classify rewrites pairs.csv. A sensitivity stage run on its own
+    fits only the 32 grid points."""
     config = tmp_path / "quickstart.ini"
     config.write_text(QUICKSTART_SCENARIO)
     out = tmp_path / "out"
@@ -796,3 +797,6 @@ def test_pipeline_computes_each_thing_once(tmp_path, monkeypatch):
     written = Counter(p.name for p in out.iterdir()
                       if not p.name.endswith("_manifest.json"))
     assert hashed == written - Counter(["truth.json"]) + Counter(["pairs.csv"])
+    calls.clear()
+    assert run_cli("sensitivity", *args) == 0
+    assert calls["fit"] == 32

@@ -18,6 +18,7 @@ from matchdid.infer import (
     MixedModelData,
     _LOG_THETA_HI,
     _LOG_THETA_LO,
+    _MAX_STEPS,
     _SCAN,
     build_design,
     did_contrasts,
@@ -27,10 +28,9 @@ from matchdid.infer import (
     write_results_csv,
 )
 from matchdid import cli, infer, pipeline
-from matchdid._util import substream
 from matchdid.config import load_config
 from matchdid.ingest import filter_births
-from matchdid.sensan import sensitivity_grid, u_probability, write_sensitivity_csv
+from matchdid.sensan import sensitivity_grid, write_sensitivity_csv
 
 # the quickstart benchmark's scenario, with the sweep off
 QUICKSTART_CONFIG = """
@@ -249,11 +249,19 @@ class TestMixedModel:
              effect + rng.normal(size=240),
              effect + 1e-7 * rng.normal(size=240)]
         monkeypatch.setattr(infer, "_BLOCK", 2)
-        with caplog.at_level(logging.WARNING, logger="matchdid.infer"):
+        with caplog.at_level(logging.DEBUG, logger="matchdid.infer"):
             fits = MixedModelData(X, codes, ("a", "b")).fit(Y)
         assert fits.converged.tolist() == [False, True, False]
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "2 of 3 REML fits" in caplog.records[0].getMessage()
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "2 of 3 REML fits" in warnings[0]
+        # each block's search logs one record that names the block, and
+        # every search scans
+        searches = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.DEBUG]
+        assert [s.split(" and ")[0] for s in searches] == [
+            "REML search of 2 replicates, block 1 of 2: 49 scan",
+            "REML search of 1 replicates, block 2 of 2: 49 scan"]
 
     def test_working_set_does_not_grow_with_m(self):
         # 1,000 clusters of 1-4 rows: at M = 64 a block's statistics
@@ -347,6 +355,17 @@ class TestMixedModel:
         with pytest.raises(DataValidationError):
             fit_mixed_lpm(X, np.zeros(5, dtype=int), np.ones(5), ("a",))
 
+    def test_named_column_without_statistics_is_refused(self):
+        # the column's values reach fit only inside the statistics it
+        # borders; without them fit read past the width of its own
+        rng = np.random.default_rng(2)
+        X = np.column_stack([np.ones(12), rng.normal(size=12)])
+        data = MixedModelData(X, np.repeat(np.arange(4), 3), ("a", "b"))
+        with pytest.raises(DataValidationError,
+                           match="'u' came without stats=: a named column "
+                                 "reaches fit only through stats="):
+            data.fit(rng.normal(size=(2, 12)), "u")
+
 
 def reml_loglik(data, y, sigma0_sq, sigma1_sq):
     """Full REML log-likelihood of one outcome of ``data`` (a
@@ -412,11 +431,11 @@ def _stats(data, Y, U=None):
     return base if U is None else data._border(base, U, [Y])[:2]
 
 
-def _fit(data, Y, U=None, start=None):
+def _fit(data, Y, U=None):
     """``data.fit`` of Y, with U as the column "u" if given."""
     if U is None:
-        return data.fit(Y, start=start)
-    return data.fit(Y, "u", start=start, stats=_stats(data, Y, U))
+        return data.fit(Y)
+    return data.fit(Y, "u", stats=_stats(data, Y, U))
 
 
 class TestRemlProperties:
@@ -467,20 +486,18 @@ class TestRemlProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(small_designs())
-    # the cold fit with U of replicate 1 has its optimum at the upper end of
-    # the range, past the scan; it took theta = 0 and reported convergence
+    # the fit with U of replicate 1 has its optimum at the upper end of the
+    # range, past the scan; it took theta = 0 and reported convergence
     @example(_small_design([1, 1, 4], 1, 2, 0.0, 3))
     def test_no_point_of_a_dense_grid_beats_the_fit(self, case):
-        # cold fits with and without the extra column, and fits with it
-        # started from the fit without it; the grid holds 2,001 log thetas
+        # fits with and without the extra column; the grid holds 2,001 log
+        # thetas
         X, codes, Y, U = case
         data = MixedModelData(X, codes, tuple(f"x{j}" for j in range(X.shape[1])))
         grid = np.exp(np.linspace(_LOG_THETA_LO, _LOG_THETA_HI, 2001))
-        cold = data.fit(Y)
-        for extra, fits in ((None, cold), (U, _fit(data, Y, U)),
-                            (U, _fit(data, Y, U, start=cold.theta))):
+        for extra in (None, U):
             stats = _stats(data, Y, extra)
-            fitted = data.profile_criterion(fits.theta, stats)[0]
+            fitted = data.profile_criterion(_fit(data, Y, extra).theta, stats)[0]
             for i in range(len(Y)):
                 dense = data.profile_criterion(grid, tuple(
                     np.repeat(a[i:i + 1], len(grid), axis=0) for a in stats))[0]
@@ -532,41 +549,6 @@ class TestRemlProperties:
         batch_calls = len(calls) - n_alone
         assert batch_calls <= n_alone + 2 * 2
 
-    def test_warm_started_fit_stays_within_its_evaluation_budget(
-            self, monkeypatch, caplog):
-        # a refit with an extra column from the first fit's log theta: the
-        # evaluations at theta = 0, at the upper end of the range and at the
-        # fitted theta, and Newton's, each of which also scores the
-        # criterion. (A replicate whose search ends at an end of the range
-        # is searched again from the scan; no replicate here does.) The
-        # golden-section search took 104.
-        rng = np.random.default_rng(3)
-        codes = np.repeat(np.arange(12), 5)
-        X = np.column_stack([np.ones(60), rng.normal(size=60)])
-        Y = rng.normal(size=(8, 12))[:, codes] + rng.normal(size=(8, 60))
-        U = rng.integers(0, 2, (8, 60))
-        data = MixedModelData(X, codes, ("a", "b"))
-        base = data.outcomes(Y)
-        start = data.fit(Y, stats=base).theta
-        bordered = data._border(base, U, [Y])[:2]
-        calls = []
-        criterion = MixedModelData.profile_criterion
-
-        def counted(self, theta, stats):
-            calls.append(len(theta))
-            return criterion(self, theta, stats)
-
-        monkeypatch.setattr(MixedModelData, "profile_criterion", counted)
-        with caplog.at_level(logging.DEBUG, logger="matchdid.infer"):
-            fits = data.fit(Y, "u", start=start, stats=bordered)
-        assert np.all(fits.converged & (fits.theta > 0))
-        assert len(calls) <= 10
-        # the search's record counts every batched evaluation but the three
-        record, = [r.getMessage() for r in caplog.records]
-        assert record == (f"REML search of 8 replicates, block 1 of 1: 0 scan and "
-                          f"{len(calls) - 3} Newton calls, at most "
-                          f"{len(calls) - 3} steps")
-
 
 def _seeded_tiny_designs(n_seeds=80):
     """Fixed tiny designs: 2-8 clusters of 1-6 rows, an intercept plus 1-3
@@ -590,65 +572,7 @@ def _seeded_tiny_designs(n_seeds=80):
         yield X[perm], codes[perm], Y[:, perm], U[:, perm]
 
 
-def _assert_same_fits(warm, cold):
-    """Equal within the search's tolerance, with the same theta = 0 and
-    convergence decisions."""
-    assert np.array_equal(warm.theta == 0.0, cold.theta == 0.0)
-    assert np.array_equal(warm.converged, cold.converged)
-    live = warm.theta > 0.0
-    assert np.log(warm.theta[live]) == pytest.approx(np.log(cold.theta[live]),
-                                                     abs=1e-8)
-    assert warm.loglik == pytest.approx(cold.loglik, rel=1e-10, abs=1e-10)
-    for x, y in ((warm.estimates, cold.estimates),
-                 (warm.standard_errors, cold.standard_errors)):
-        assert x == pytest.approx(y, rel=1e-8, abs=1e-12)
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_warm_fits_equal_full_scan_fits_on_seeded_designs(self, block,
-                                                              monkeypatch):
-        # the cold fits, warm-started U refits and cold U refits, each also
-        # fitted in blocks of ``block`` replicates, so that M = 2-4 crosses
-        # block boundaries: every blocked fit equals its one-block fit
-        designs = 0
-        for X, codes, Y, U in _seeded_tiny_designs():
-            designs += 1
-            data = MixedModelData(X, codes,
-                                  tuple(f"x{j}" for j in range(X.shape[1])))
-            base = data.outcomes(Y)
-            bordered = data._border(base, U, [Y])[:2]
-
-            def fits():
-                cold = data.fit(Y, stats=base)
-                return (cold, data.fit(Y, "u", start=cold.theta, stats=bordered),
-                        data.fit(Y, "u", stats=bordered))
-
-            whole = fits()
-            with monkeypatch.context() as patch:
-                patch.setattr(infer, "_BLOCK", block)
-                for got, want in zip(fits(), whole):
-                    for field in dataclasses.fields(MixedFit):
-                        assert np.array_equal(getattr(got, field.name),
-                                              getattr(want, field.name))
-            _assert_same_fits(whole[1], whole[2])
-        assert designs >= 40
-
-    def test_warm_fits_equal_full_scan_fits_on_the_quickstart_design(
-            self, quickstart):
-        design, Y, _ = quickstart
-        data = MixedModelData(design.X, design.cluster_codes, design.regressors)
-        base = data.outcomes(Y)
-        start = data.fit(Y, stats=base).theta
-        low = design.X[:, design.regressors.index("low_prevalence")]
-        for p1, p2 in ((5.0, 10.0), (5.0, -10.0), (-5.0, 10.0), (-5.0, -10.0)):
-            U = np.array([substream(1, "sensan", p1, p2, m).random(len(y))
-                          < u_probability(low, y, p1, p2)
-                          for m, y in enumerate(Y, 1)])
-            bordered = data._border(base, U, [Y])[:2]
-            _assert_same_fits(data.fit(Y, "u", start=start, stats=bordered),
-                              data.fit(Y, "u", stats=bordered))
-
+class TestNewton:
     def test_derivatives_match_central_differences(self):
         # the analytic first and second derivatives of the criterion in log
         # theta against central differences of the criterion and of the
@@ -672,23 +596,47 @@ class TestWarmStart:
                     checked += int(keep.sum())
         assert checked >= 100
 
-    def test_start_on_the_wrong_side_reaches_the_optimum(self):
-        rng = np.random.default_rng(8)
-        codes = np.repeat(np.arange(40), 6)
-        X = np.column_stack([np.ones(240), rng.normal(size=240)])
-        Y = rng.normal(0, 0.5, (3, 40))[:, codes] + rng.normal(size=(3, 240))
-        data = MixedModelData(X, codes, ("a", "b"))
-        cold = data.fit(Y)
-        theta = cold.theta
-        assert np.all(theta > 0.0)
-        # e^-3 and e^3 times the optimum, the ends of the range, and beyond
-        for start in (theta / math.e ** 3, theta * math.e ** 3,
-                      np.full(3, math.exp(_LOG_THETA_LO)), np.zeros(3),
-                      np.full(3, math.exp(_LOG_THETA_HI)), np.full(3, 1e300)):
-            _assert_same_fits(data.fit(Y, start=start), cold)
-
+    def test_search_stops_where_the_gradient_is_rounding_noise(self):
+        # with one row per cluster, V = (1 + theta) I and the criterion does
+        # not depend on theta: its gradient is rounding noise. From log
+        # theta -14, replicate 3's iterates bounced between the ends of its
+        # bracket, -15.5 and -14.58, until _MAX_STEPS
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(5), rng.normal(size=5)])
+        Y = rng.normal(size=(8, 5))
+        data = MixedModelData(X, np.arange(5), ("a", "b"))
+        stats = data.outcomes(Y)
+        for g in _SCAN:
+            _, _, steps, going, _ = data._newton(np.full(8, g), stats)
+            assert not going.any() and steps.max() < _MAX_STEPS, g
 
 class TestBatchIndependence:
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_blocked_fits_equal_one_block_fits_on_seeded_designs(
+            self, block, monkeypatch):
+        # the fits and U refits, each also fitted in blocks of ``block``
+        # replicates, so that M = 2-4 crosses block boundaries: every
+        # blocked fit equals its one-block fit
+        designs = 0
+        for X, codes, Y, U in _seeded_tiny_designs():
+            designs += 1
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            base = data.outcomes(Y)
+            bordered = data._border(base, U, [Y])[:2]
+
+            def fits():
+                return data.fit(Y, stats=base), data.fit(Y, "u", stats=bordered)
+
+            whole = fits()
+            with monkeypatch.context() as patch:
+                patch.setattr(infer, "_BLOCK", block)
+                for got, want in zip(fits(), whole):
+                    for field in dataclasses.fields(MixedFit):
+                        assert np.array_equal(getattr(got, field.name),
+                                              getattr(want, field.name))
+        assert designs >= 40
+
     def test_profile_is_bit_equal_in_a_batch_and_alone(self):
         # a replicate's criterion must not depend on the replicates it is
         # evaluated with, down to the last bit, at every scanned theta
@@ -772,8 +720,8 @@ class TestPrimaryAnalysis:
         path = tmp_path / "sensitivity.csv"
         write_sensitivity_csv(sensitivity_grid(design, Y, seed=1), path)
         digest = hashlib.sha256(path.read_bytes())
-        assert digest.hexdigest() == ("70f1355ad352e98c101d53603f1c173b"
-                                      "46b9b0cc4e3e3ff7fbad4477785a2ffb")
+        assert digest.hexdigest() == ("3e54e956643c94fbbdab1d0b2cc33009"
+                                      "5d6b54b500204295dabdc700a4c050d0")
 
     @pytest.mark.parametrize("name,digest", [
         ("results.csv", "d553c35ef31994b677ec442e1d81d914"

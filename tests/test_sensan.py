@@ -151,23 +151,6 @@ class TestGrid:
         assert [(r.estimate, r.ci_low, r.ci_high) for r in a] == \
                [(r.estimate, r.ci_low, r.ci_high) for r in b]
 
-    def test_primary_theta_handoff_is_bit_identical(self, analysis):
-        # M spans two blocks of infer._BLOCK replicates
-        design, model, _ = analysis
-        imputed = draw_imputations(model, design.records, infer._BLOCK + 6,
-                                   seed=41)
-        theta = run_primary_analysis(design, imputed).theta
-        assert len(theta) == len(imputed)
-        small = [(2.5, 5.0), (-7.5, 10.0)]
-        given = sensitivity_grid(design, imputed, seed=23, grid=small,
-                                 theta=theta)
-        assert given == sensitivity_grid(design, imputed, seed=23, grid=small)
-        with pytest.raises(DataValidationError,
-                           match=f"{len(theta) - 1} primary variance ratios "
-                                 f"for {len(theta)} replicates"):
-            sensitivity_grid(design, imputed, seed=23, grid=small,
-                             theta=theta[1:])
-
 
 class TestCommonRandomNumbers:
     def test_updated_u_statistics_equal_border_at_every_point(self, analysis):
@@ -219,13 +202,10 @@ class TestCommonRandomNumbers:
         design, model, _ = analysis
         imputed = draw_imputations(model, design.records, infer._BLOCK + 6,
                                    seed=43)
-        theta = run_primary_analysis(design, imputed).theta
         small = [(2.5, 5.0), (-7.5, 10.0), (10.0, -5.0)]
-        rows = sensitivity_grid(design, imputed, seed=29, grid=small,
-                                theta=theta)
+        rows = sensitivity_grid(design, imputed, seed=29, grid=small)
         for row, (p1, p2) in zip(rows, small):
-            k1 = sensitivity_fit(design, imputed, p1, p2, seed=29,
-                                 theta=theta).k1
+            k1 = sensitivity_fit(design, imputed, p1, p2, seed=29).k1
             assert (row.estimate, row.ci_low, row.ci_high, row.p_value) == \
                 (k1.estimate, k1.ci_low, k1.ci_high, k1.p_value)
 
@@ -248,14 +228,12 @@ class TestSweepBlocks:
         design, model, _ = analysis
         imputed = draw_imputations(model, design.records, 8 * infer._BLOCK,
                                    seed=47)
-        theta = np.full(len(imputed), 0.05)
         peaks = []
         for m in (infer._BLOCK, 8 * infer._BLOCK):
             tracemalloc.start()
             try:
                 sensitivity_grid(design, imputed[:m], seed=5,
-                                 grid=[(2.5, 5.0), (-5.0, -10.0)],
-                                 theta=theta[:m])
+                                 grid=[(2.5, 5.0), (-5.0, -10.0)])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -272,8 +250,7 @@ class TestSweepBlocks:
             np.int8)[:, design.cluster_codes]
         grid = [(2.5, 5.0), (-5.0, -10.0)]
         with caplog.at_level(logging.DEBUG):
-            sensitivity_grid(design, imputed, seed=2, grid=grid,
-                             theta=np.ones(m))
+            sensitivity_grid(design, imputed, seed=2, grid=grid)
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING]
         assert len(warnings) == len(grid)
