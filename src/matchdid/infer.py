@@ -10,9 +10,11 @@ in consecutive blocks of at most 64 (_BLOCK), so that the statistics held
 at once do not grow with M. An evaluation forms the bordered matrix [X,
 y]'V^-1[X, y] from the S class sums, reads the criterion off its batched
 Cholesky factor (Bates and DebRoy, JMVA 2004) and its first two derivatives
-in log theta off the factor's inverse. Each replicate's optimum is found by a safeguarded Newton
-iteration (Lindstrom and Bates, JASA 1988) from the best point of a scan;
-every fit, with or without an extra column, searches this one way.
+in log theta off the factor's inverse. Each replicate's optimum is found by
+a safeguarded Newton iteration (Lindstrom and Bates, JASA 1988) from the
+best point of a 49-point scan, which factors X'V^-1X once per scan point
+and borders it with each replicate's own rows; every fit, with or without
+an extra column, searches this one way.
 """
 
 from __future__ import annotations
@@ -161,6 +163,8 @@ class MixedFit:
 # the best point of the _SCAN grid, to a step below _STEP_TOL. A fit ending
 # within _EDGE_TOL of an end located no optimum.
 _SCAN = np.linspace(-14.0, 10.0, 49)
+# scan points scored at once, which bounds the scan's working set
+_SCAN_CHUNK = 7
 _LOG_THETA_LO, _LOG_THETA_HI = -15.5, 11.5
 _EDGE_TOL = 1e-9
 _STEP_TOL = 1e-10
@@ -264,6 +268,61 @@ class MixedModelData:
                                   for a in (self.xtx, self.x_classes)), Y, [])[:2]
 
     @cached_property
+    def _scan_factor(self) -> Tuple[np.ndarray, ...]:
+        """At each theta of _SCAN, for every fit of this design: the class
+        weights c, the inverse of the Cholesky factor of X'V^-1X, and its
+        log-determinant plus log det V (+inf where it does not factor)."""
+        theta = np.exp(_SCAN)[:, None]
+        c = theta / (1.0 + theta * self.sizes)
+        # the class terms summed in the order ``profile_criterion`` sums them
+        w = self.xtx - sum(c[:, j, None, None] * x
+                           for j, x in enumerate(self.x_classes))
+        chol = np.broadcast_to(np.eye(self.p), w.shape).copy()
+        failed = np.zeros(len(_SCAN), dtype=bool)
+        try:
+            chol[:] = np.linalg.cholesky(w)
+        except np.linalg.LinAlgError:
+            for g, a in enumerate(w):
+                try:
+                    chol[g] = np.linalg.cholesky(a)
+                except np.linalg.LinAlgError:
+                    failed[g] = True
+        logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                  + (self.size_counts * np.log1p(theta * self.sizes)).sum(axis=1))
+        logdet[failed] = np.inf
+        return c, _inverse_lower(chol), logdet
+
+    def scan_criterion(self, stats) -> np.ndarray:
+        """``profile_criterion`` of each replicate at each theta of _SCAN,
+        within rounding: a (len(_SCAN), M) array. Each replicate borders the
+        shared factor of X'V^-1X (``_scan_factor``) with its rows B = [B_X,
+        B_V] of U (if any) and y: with R the factor's inverse and Z = B_X R',
+        the Schur complement B_V - Z Z' holds U's pivot and y's residual. A
+        pivot <= 0 or an X'V^-1X that does not factor scores +inf, a
+        residual <= 0 -inf. Products are per replicate (no GEMM across
+        replicates), so a replicate's scores do not depend on the batch."""
+        gram, classes = stats
+        p, q = self.p, gram.shape[-1] - 1
+        c, inv, logdet = self._scan_factor
+        scores = np.empty((len(_SCAN), len(gram)))
+        for lo in range(0, len(_SCAN), _SCAN_CHUNK):
+            g = slice(lo, lo + _SCAN_CHUNK)
+            b = gram[:, p:] - sum(c[g, j, None, None, None] * classes[:, j, p:]
+                                  for j in range(len(self.sizes)))
+            z = b[..., :p] @ np.swapaxes(inv[g], 1, 2)[:, None]
+            schur = b[..., p:] - z @ np.swapaxes(z, 2, 3)
+            rss, pivot = schur[..., -1, -1], schur[..., 0, 0]
+            logdet_q = logdet[g, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if q > p:
+                    rss = rss - schur[..., 1, 0] ** 2 / pivot
+                    logdet_q = logdet_q + np.log(pivot)
+                crit = (self.n - q) * np.log(np.maximum(rss, 0.0)) + logdet_q
+            factored = np.isfinite(logdet[g, None]) & ((q == p) | (pivot > 0))
+            scores[g] = np.where(factored, crit, np.inf)
+        return scores
+
+    @cached_property
     def _unit_xtx(self) -> Tuple[np.ndarray, np.ndarray]:
         """The scales s that give X'X a unit diagonal, and the Cholesky
         factor of X'X so scaled."""
@@ -293,7 +352,8 @@ class MixedModelData:
         L of that bordered matrix gives chol = L[:q, :q], z = L[q, :q] and
         rss = L[q, q]^2 (Bates and DebRoy 2004). Where it fails, each
         replicate is scored alone: the criterion is +inf where X'V^-1X is
-        not positive definite and -inf where the residual vanishes."""
+        not positive definite and -inf where the residual vanishes. A fit
+        scores its scan with ``scan_criterion``, and all else with this."""
         gram, classes = stats
         q = gram.shape[-1] - 1
         c = theta[:, None] / (1.0 + theta[:, None] * self.sizes)
@@ -424,7 +484,9 @@ class MixedModelData:
 
     def _fit_block(self, stats, names, block) -> Tuple[np.ndarray, ...]:
         """``fit`` of one block, named ``block`` in its DEBUG record, from
-        its statistics: the fields of its ``MixedFit`` after ``names``."""
+        its statistics: the fields of its ``MixedFit`` after ``names``. The
+        scan is scored in one call, then Newton and the end comparisons
+        evaluate ``profile_criterion``."""
         m, q = len(stats[0]), len(names)
         if q > self.p:
             self._check_column(stats[0], names[-1])
@@ -437,11 +499,9 @@ class MixedModelData:
         live = ~degenerate
         # a copy of the statistics only when some replicate is left out
         search = stats if live.all() else tuple(a[live] for a in stats)
-        # Newton from the best point of the scan, which scores all the
-        # searched replicates at one point per call
+        # Newton from the best point of the scan
         k = len(search[0])
-        scores = [self.profile_criterion(np.full(k, np.exp(g)), search)[0]
-                  for g in _SCAN]
+        scores = self.scan_criterion(search)
         u, best, steps, stopped, evals = self._newton(
             _SCAN[np.argmin(scores, axis=0)], search)
         _log.debug("REML search of %d replicates, %s: %d scan and %d Newton "

@@ -536,6 +536,14 @@ class TestRemlProperties:
             return criterion(self, theta, stats)
 
         monkeypatch.setattr(MixedModelData, "profile_criterion", counted)
+        scanned = []
+        scan = MixedModelData.scan_criterion
+
+        def scan_counted(self, stats):
+            scanned.append(len(stats[0]))
+            return scan(self, stats)
+
+        monkeypatch.setattr(MixedModelData, "scan_criterion", scan_counted)
         alone = data.fit([y])
         n_alone = len(calls)
         both = data.fit([np.zeros(60), y])
@@ -548,6 +556,8 @@ class TestRemlProperties:
         # score its two replicates alone, one more call each
         batch_calls = len(calls) - n_alone
         assert batch_calls <= n_alone + 2 * 2
+        # the scan scores the live replicate only, once per fit
+        assert scanned == [1, 1]
 
 
 def _seeded_tiny_designs(n_seeds=80):
@@ -610,6 +620,114 @@ class TestNewton:
             _, _, steps, going, _ = data._newton(np.full(8, g), stats)
             assert not going.any() and steps.max() < _MAX_STEPS, g
 
+def _profile_scan(data, stats):
+    """The reference scan: ``profile_criterion`` at each theta of _SCAN,
+    one call per point, a (len(_SCAN), M) array."""
+    return np.array([data.profile_criterion(
+        np.full(len(stats[0]), math.exp(g)), stats)[0] for g in _SCAN])
+
+
+def _assert_scan_matches_profile(scores, ref):
+    # infinities equal, finite scores within 1e-11 relative (absolute below
+    # 1, where the criterion's terms cancel). The two factor X'V^-1X alike
+    # but solve with it differently: at log theta 9.5 on a seeded design of
+    # 6 rows in 2 clusters with 4 columns, the score 1.4025666583027 (50
+    # digits) reads 4.0e-12 low by the scan and 5.4e-12 high by
+    # profile_criterion
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(scores), finite)
+    assert np.array_equal(scores[~finite], ref[~finite])
+    assert np.all(np.abs(scores[finite] - ref[finite])
+                  <= 1e-11 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+class TestScan:
+    def test_scores_equal_profile_criterion_on_seeded_designs(self):
+        # every scan score of the fits with and without the extra column
+        # against profile_criterion at the same theta; the best scan point
+        # is the same wherever the best two scores are told apart
+        designs = compared = 0
+        for X, codes, Y, U in _seeded_tiny_designs():
+            designs += 1
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            for extra in (None, U):
+                stats = _stats(data, Y, extra)
+                scores, ref = data.scan_criterion(stats), _profile_scan(data, stats)
+                _assert_scan_matches_profile(scores, ref)
+                two = np.sort(ref, axis=0)[:2]
+                apart = two[1] - two[0] > 1e-9
+                assert np.array_equal(np.argmin(scores, axis=0)[apart],
+                                      np.argmin(ref, axis=0)[apart])
+                compared += int(apart.sum())
+        assert designs >= 40 and compared >= 100
+
+    def test_x_block_that_does_not_factor_scores_inf(self):
+        # doubled size-class sums make X'V^-1X indefinite from some theta
+        # on: every replicate scores +inf there, as with profile_criterion
+        rng = np.random.default_rng(5)
+        codes = np.repeat(np.arange(6), 4)
+        X = np.column_stack([np.ones(24), rng.normal(size=24)])
+        data = MixedModelData(X, codes, ("a", "b"))
+        data.x_classes = 2.0 * data.x_classes
+        Y = rng.normal(size=(3, 24))
+        for extra in (None, rng.integers(0, 2, (3, 24))):
+            stats = _stats(data, Y, extra)
+            scores, ref = data.scan_criterion(stats), _profile_scan(data, stats)
+            _assert_scan_matches_profile(scores, ref)
+            assert np.isinf(scores).all(axis=1).any()
+            assert np.isfinite(scores).all(axis=1).any()
+
+    def test_singular_column_and_vanishing_residual(self):
+        # replicate 1's extra column is 0, so [X, u] is singular and its
+        # pivot is 0: +inf. Replicate 2's outcome is 0, so its residual is
+        # 0: -inf. Replicate 0 keeps its own scores
+        rng = np.random.default_rng(6)
+        codes = np.repeat(np.arange(5), 3)
+        X = np.column_stack([np.ones(15), rng.normal(size=15)])
+        data = MixedModelData(X, codes, ("a", "b"))
+        Y = rng.normal(size=(3, 15))
+        Y[2] = 0.0
+        U = rng.integers(0, 2, (3, 15))
+        U[1] = 0
+        stats = _stats(data, Y, U)
+        scores, ref = data.scan_criterion(stats), _profile_scan(data, stats)
+        _assert_scan_matches_profile(scores, ref)
+        assert np.isfinite(scores[:, 0]).all()
+        assert (scores[:, 1] == math.inf).all()
+        assert (scores[:, 2] == -math.inf).all()
+        # and without the extra column
+        stats = _stats(data, Y)
+        scores = data.scan_criterion(stats)
+        _assert_scan_matches_profile(scores, _profile_scan(data, stats))
+        assert (scores[:, 2] == -math.inf).all()
+
+    def test_second_fit_reuses_the_scan_factor(self, monkeypatch):
+        # X'V^-1X at the scan points is factored once per design, by its
+        # first fit, and shared by every later fit, with or without U
+        rng = np.random.default_rng(7)
+        codes = np.repeat(np.arange(8), 4)
+        X = np.column_stack([np.ones(32), rng.normal(size=32)])
+        Y = rng.normal(size=(2, 32))
+        U = rng.integers(0, 2, (2, 32))
+        factor = MixedModelData.__dict__["_scan_factor"]
+        make, made = factor.func, []
+
+        def counted(self):
+            made.append(self)
+            return make(self)
+
+        monkeypatch.setattr(factor, "func", counted)
+        data = MixedModelData(X, codes, ("a", "b"))
+        first = data.fit(Y)
+        shared = data._scan_factor
+        again = _fit(data, Y, U), data.fit(Y)
+        assert made == [data] and data._scan_factor is shared
+        for field in dataclasses.fields(MixedFit)[1:]:
+            assert np.array_equal(getattr(again[1], field.name),
+                                  getattr(first, field.name)), field.name
+
+
 class TestBatchIndependence:
     @pytest.mark.parametrize("block", [1, 2])
     def test_blocked_fits_equal_one_block_fits_on_seeded_designs(
@@ -657,6 +775,24 @@ class TestBatchIndependence:
                         lone = data.profile_criterion(theta[i:i + 1], stats)[0]
                         mismatches += int(batch[i] != lone[0])
                         values += 1
+        assert designs >= 40
+        assert mismatches == 0, f"{mismatches} of {values} values differ"
+
+    def test_scan_is_bit_equal_in_a_batch_and_alone(self):
+        # a replicate's scan scores must not depend on the replicates
+        # scored with it, down to the last bit
+        designs = mismatches = values = 0
+        for X, codes, Y, U in _seeded_tiny_designs():
+            designs += 1
+            data = MixedModelData(X, codes,
+                                  tuple(f"x{j}" for j in range(X.shape[1])))
+            for extra in (None, U):
+                batch = data.scan_criterion(_stats(data, Y, extra))
+                for i, y in enumerate(Y):
+                    lone = data.scan_criterion(_stats(
+                        data, [y], None if extra is None else U[i:i + 1]))
+                    mismatches += int((batch[:, i] != lone[:, 0]).sum())
+                    values += len(_SCAN)
         assert designs >= 40
         assert mismatches == 0, f"{mismatches} of {values} values differ"
 
