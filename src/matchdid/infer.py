@@ -11,10 +11,11 @@ at once do not grow with M. An evaluation forms the bordered matrix [X,
 y]'V^-1[X, y] from the S class sums, reads the criterion off its batched
 Cholesky factor (Bates and DebRoy, JMVA 2004) and its first two derivatives
 in log theta off the factor's inverse. Each replicate's optimum is found by
-a safeguarded Newton iteration (Lindstrom and Bates, JASA 1988) from the
-best point of a 49-point scan, which factors X'V^-1X once per scan point
-and borders it with each replicate's own rows; every fit, with or without
-an extra column, searches this one way.
+a safeguarded Newton iteration (Lindstrom and Bates, JASA 1988) from every
+local minimum of a 49-point scan, which factors X'V^-1X once per scan point
+and borders it with each replicate's own rows; the lowest of theta = 0,
+Newton's optimum and the upper end of the range wins. Every fit searches
+this one way, through its design's one model (``InferenceDesign.data``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class InferenceDesign:
     ``regressors`` names the columns of X. Covariate columns that are
     constant over the kept records (e.g. birth order under a first-born
     filter) are pruned, so they are the names of ``REGRESSORS`` missing
-    from it.
+    from it. ``data`` is the one REML model of every fit of the design.
     """
 
     records: Tuple[BirthRecord, ...]
@@ -80,6 +81,11 @@ class InferenceDesign:
 
     def covariate_names(self) -> Tuple[str, ...]:
         return tuple(n for n in self.regressors if n in COVARIATE_REGRESSORS)
+
+    @cached_property
+    def data(self) -> "MixedModelData":
+        """The ``MixedModelData`` of X, built once, at first use."""
+        return MixedModelData(self.X, self.cluster_codes, self.regressors)
 
     @property
     def cell_masks(self) -> Dict[str, np.ndarray]:
@@ -160,7 +166,7 @@ class MixedFit:
 
 
 # Log theta is searched over [_LOG_THETA_LO, _LOG_THETA_HI] by Newton, from
-# the best point of the _SCAN grid, to a step below _STEP_TOL. A fit ending
+# the local minima of the _SCAN grid, to a step below _STEP_TOL. A fit ending
 # within _EDGE_TOL of an end located no optimum.
 _SCAN = np.linspace(-14.0, 10.0, 49)
 # scan points scored at once, which bounds the scan's working set
@@ -259,6 +265,18 @@ class MixedModelData:
             part[..., p:] = totals[:, members]
             np.einsum("mc,mcj->mj", part[..., p], part, out=classes[:, j, p])
         classes[:, :, :, p] = classes[:, :, p]
+
+    def _outcome_matrix(self, Y) -> np.ndarray:
+        """Y as an array, refused unless it is an (M, n) matrix of finite
+        outcomes, row i replicate i's."""
+        Y = np.asarray(Y)
+        if Y.ndim != 2 or Y.shape[1] != self.n:
+            raise DataValidationError(f"outcome matrix of shape {Y.shape}; "
+                                      f"expected (M, n) = (M, {self.n})")
+        if Y.dtype.kind not in "biu" and not np.isfinite(Y).all():
+            raise DataValidationError("outcome matrix holds values that are "
+                                      "not finite")
+        return Y
 
     def outcomes(self, Y) -> Tuple[np.ndarray, np.ndarray]:
         """Per replicate i the cross products (M, k, k) of [X, Y[i]] and
@@ -464,11 +482,13 @@ class MixedModelData:
 
         The replicates are fitted in consecutive blocks of _BLOCK, which
         bounds the statistics held at once whatever M is; a replicate's fit
-        does not depend on its block."""
+        does not depend on its block. Y must be an (M, n) matrix of finite
+        outcomes."""
         if name is not None and stats is None:
             raise DataValidationError(
                 f"column {name!r} came without stats=: a named column "
                 f"reaches fit only through stats=, the statistics it borders")
+        Y = self._outcome_matrix(Y)
         names = self.names + (() if name is None else (name,))
         blocks, parts = range(0, len(Y), _BLOCK), []
         for b, lo in enumerate(blocks):
@@ -485,8 +505,8 @@ class MixedModelData:
     def _fit_block(self, stats, names, block) -> Tuple[np.ndarray, ...]:
         """``fit`` of one block, named ``block`` in its DEBUG record, from
         its statistics: the fields of its ``MixedFit`` after ``names``. The
-        scan is scored in one call, then Newton and the end comparisons
-        evaluate ``profile_criterion``."""
+        scan is scored in one call, then Newton and the lowest of the three
+        candidates evaluate ``profile_criterion``."""
         m, q = len(stats[0]), len(names)
         if q > self.p:
             self._check_column(stats[0], names[-1])
@@ -499,23 +519,35 @@ class MixedModelData:
         live = ~degenerate
         # a copy of the statistics only when some replicate is left out
         search = stats if live.all() else tuple(a[live] for a in stats)
-        # Newton from the best point of the scan
+        # Newton, in one call, from each scan point below the one before it
+        # and not above the one after it (the ends padded with +inf), and
+        # from the scan's lowest point
         k = len(search[0])
         scores = self.scan_criterion(search)
-        u, best, steps, stopped, evals = self._newton(
-            _SCAN[np.argmin(scores, axis=0)], search)
+        pad = np.full((1, k), np.inf)
+        s = np.concatenate([pad, scores, pad])
+        start = (s[1:-1] < s[:-2]) & (s[1:-1] <= s[2:])
+        start[np.argmin(scores, axis=0), np.arange(k)] = True
+        rep, g = np.nonzero(start.T)
+        u, f, steps, going, evals = self._newton(
+            _SCAN[g], search if len(g) == k else tuple(a[rep] for a in search))
         _log.debug("REML search of %d replicates, %s: %d scan and %d Newton "
-                   "calls, at most %d steps", k, block, len(scores), evals,
-                   steps.max(initial=0))
+                   "calls, at most %d steps, %d extra starts", k, block,
+                   len(scores), evals, steps.max(initial=0), len(g) - k)
+        # each replicate keeps its lowest start, the first of equals (none
+        # in a block whose replicates are all degenerate)
+        keep = np.lexsort((f, rep))[np.searchsorted(rep, np.arange(k))]
+        u, best, stopped = u[keep], f[keep], going[keep]
         edge = (u < _LOG_THETA_LO + _EDGE_TOL) | (u > _LOG_THETA_HI - _EDGE_TOL)
-        # the scan stops short of the upper end of the range, so a criterion
-        # still falling there is seen only at the end: an edge stop
+        # the lowest of theta = 0, Newton's optimum and the upper end of the
+        # range (the first of equals), an end the scan stops short of: a
+        # criterion lowest there is an edge stop
         top = self.profile_criterion(np.full(k, np.exp(_LOG_THETA_HI)), search)[0]
-        past = top < np.minimum(best, crit0[live])
-        u[past], best[past], edge[past] = _LOG_THETA_HI, top[past], True
+        pick = np.argmin([crit0[live], best, top], axis=0)
+        u[pick == 2], edge[pick == 2] = _LOG_THETA_HI, True
         theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
-        theta[live] = np.where(crit0[live] <= best, 0.0, np.exp(u))
-        unconverged[live] = stopped | ((theta[live] > 0) & edge)
+        theta[live] = np.where(pick == 0, 0.0, np.exp(u))
+        unconverged[live] = stopped | ((pick > 0) & edge)
         criterion, rss, chol, z = self.profile_criterion(theta, stats)
         # the statistics are done with; unless the caller keeps them,
         # freeing them here keeps the peak memory of a fit at its search's
@@ -677,9 +709,9 @@ def run_primary_analysis(design: InferenceDesign, imputed) -> PrimaryResult:
     """Fit the outcome model on every completed data set, a row of the
     (M, n) outcome matrix ``imputed``, pool by Rubin's rules, and report
     the naive four-cell contrast and the covariate drift term over treated
-    pairs for comparison."""
+    pairs for comparison. The fits go through ``design.data``."""
     names = design.regressors
-    fits = MixedModelData(design.X, design.cluster_codes, names).fit(imputed)
+    fits = design.data.fit(imputed)
     pooled = rubin_combine(fits.estimates, fits.standard_errors ** 2, names)
 
     cells = design.cell_masks

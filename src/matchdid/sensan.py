@@ -6,8 +6,9 @@ P(U=1) = 0.5 + p1/100 * 1(low prevalence) + p2/100 * 1(completed outcome),
 the outcome model is refitted with U as an extra regressor, and the
 low-prevalence coefficient (and the U coefficient, which is estimated,
 never fixed) are pooled by Rubin's rules. Each refit is an ordinary REML
-fit of its own data set, searched as the primary fit is. The grid sweep
-groups results into the four sign cases of (p1, p2).
+fit of its own data set, searched as the primary fit is and through the
+same model, ``InferenceDesign.data``. The grid sweep groups results into
+the four sign cases of (p1, p2).
 
 The grid points share their random numbers (common random numbers;
 Glasserman and Yao, Management Science 1992): replicate m draws one
@@ -179,11 +180,13 @@ def _require_integers(data: MixedModelData) -> None:
 def _refits(design: InferenceDesign, imputed, points, seed: int,
             columns: Sequence[str]):
     """Refit every replicate with U at each of ``points``, valid (p1, p2)
-    pairs. Returns the estimates of the regressors ``columns`` and their
-    squared standard errors, two (len(points), M, len(columns)) arrays."""
-    data = MixedModelData(design.X, design.cluster_codes, design.regressors)
+    pairs, through ``design.data``; ``imputed`` holds 0/1 outcomes of any
+    numeric type. Returns the estimates of the regressors ``columns`` and
+    their squared standard errors, two (len(points), M, len(columns))
+    arrays."""
+    data = design.data
     _require_integers(data)
-    imputed = np.asarray(imputed)
+    imputed = data._outcome_matrix(imputed)
     m, n = imputed.shape
     cols = [(design.regressors + (U_REGRESSOR,)).index(c) for c in columns]
     probs = [u_probability(_CLASS_LOW, _CLASS_OUTCOME, p1, p2)
@@ -196,6 +199,8 @@ def _refits(design: InferenceDesign, imputed, points, seed: int,
         Y = imputed[rows]
         if not np.all((Y == 0) | (Y == 1)):
             raise DataValidationError("completed outcomes must be 0 or 1")
+        # _BlockU indexes P(U=1) by a record class that Y enters
+        Y = Y.astype(np.int8, copy=False)
         for j in range(len(points)):
             if j == 0:
                 state = _BlockU(data, design.X, data.outcomes(Y), Y, seed,

@@ -765,11 +765,12 @@ missing_rate = 0.3
 
 
 def test_pipeline_computes_each_thing_once(tmp_path, monkeypatch):
-    """One quickstart pipeline process builds the design once, never reads
-    back the imputations it drew, fits the primary model once (33 fits with
-    the 32 grid points) and hashes each input once and each file once per
-    write; classify rewrites pairs.csv. A sensitivity stage run on its own
-    fits only the 32 grid points."""
+    """One quickstart pipeline process builds the design and its one REML
+    model once, never reads back the imputations it drew, fits the primary
+    model once (33 fits with the 32 grid points) and hashes each input once
+    and each file once per write; classify rewrites pairs.csv. A
+    sensitivity stage run on its own builds one model and fits only the 32
+    grid points."""
     config = tmp_path / "quickstart.ini"
     config.write_text(QUICKSTART_SCENARIO)
     out = tmp_path / "out"
@@ -788,15 +789,17 @@ def test_pipeline_computes_each_thing_once(tmp_path, monkeypatch):
 
     for name in ("read_imputations_csv", "build_design"):
         spy(cli.pipeline, name, lambda *_, name=name: calls.update([name]))
-    spy(MixedModelData, "fit", lambda *_: calls.update(["fit"]))
+    for name in ("__init__", "fit"):
+        spy(MixedModelData, name, lambda *_, name=name: calls.update([name]))
     spy(cli.pipeline, "sha256_file",
         lambda path: hashed.update([Path(path).name]))
     assert run_cli("pipeline", *args) == 0
     assert [calls[name] for name in (
-        "read_imputations_csv", "build_design", "fit")] == [0, 1, 33]
+        "read_imputations_csv", "build_design", "__init__", "fit")] == [
+        0, 1, 1, 33]
     written = Counter(p.name for p in out.iterdir()
                       if not p.name.endswith("_manifest.json"))
     assert hashed == written - Counter(["truth.json"]) + Counter(["pairs.csv"])
     calls.clear()
     assert run_cli("sensitivity", *args) == 0
-    assert calls["fit"] == 32
+    assert [calls["__init__"], calls["fit"]] == [1, 32]

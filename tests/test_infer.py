@@ -367,6 +367,41 @@ class TestMixedModel:
             data.fit(rng.normal(size=(2, 12)), "u")
 
 
+class TestOutcomeMatrix:
+    # an outcome matrix that does not fit the design is a data error (exit
+    # 2): a wider one was fitted on its first n columns, a narrower or 1-D
+    # one raised IndexError or AxisError, and a nan one ConvergenceError
+    def test_wider_outcome_is_refused(self):
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(24), rng.normal(size=24)])
+        with pytest.raises(DataValidationError,
+                           match=r"shape \(1, 26\); expected \(M, n\) = "
+                                 r"\(M, 24\)"):
+            fit_mixed_lpm(X, np.repeat(np.arange(6), 4), rng.normal(size=26),
+                          ("a", "b"))
+
+    def test_nan_outcome_is_refused(self):
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(24), rng.normal(size=24)])
+        y = rng.normal(size=24)
+        y[3] = math.nan
+        with pytest.raises(DataValidationError, match="not finite"):
+            fit_mixed_lpm(X, np.repeat(np.arange(6), 4), y, ("a", "b"))
+
+    @pytest.mark.parametrize("change", ["wider", "narrower", "1-D", "nan"])
+    def test_primary_analysis_refuses_a_misfit_matrix(self, analysis, change):
+        design, _, sets = analysis
+        n = design.n_records
+        Y = {"wider": lambda: np.column_stack([sets, sets[:, :2]]),
+             "narrower": lambda: sets[:, :-1],
+             "1-D": lambda: sets[0],
+             "nan": lambda: np.where(np.arange(n) == 5, math.nan, sets)}[change]()
+        message = ("not finite" if change == "nan"
+                   else rf"expected \(M, n\) = \(M, {n}\)")
+        with pytest.raises(DataValidationError, match=message):
+            run_primary_analysis(design, Y)
+
+
 def reml_loglik(data, y, sigma0_sq, sigma1_sq):
     """Full REML log-likelihood of one outcome of ``data`` (a
     ``MixedModelData``) at arbitrary variance components, summed cluster
@@ -438,6 +473,71 @@ def _fit(data, Y, U=None):
     return data.fit(Y, "u", stats=_stats(data, Y, U))
 
 
+# evaluations that one certification may make
+_CERTIFY_CAP = 200_000
+
+
+def _certify(data, stats, i, fitted, X, codes):
+    """Certify that no theta in [0, e^11.5] scores replicate i of ``stats``
+    more than 1e-6 relative below ``fitted``; returns the evaluations made.
+    X and ``codes`` are that fit's design and clusters.
+
+    Let K be an orthonormal basis of the residual space of X, r = n - q and
+    L = K'ZZ'K, whose eigenvalues lie in [c_lo, c_hi]. Up to a constant
+    the criterion is f = r log rss + log det(I + theta L), with rss =
+    y'K(I + theta L)^-1K'y (Harville, JASA 1977). So with A_c = r log((1 +
+    c theta) rss) and B_c = f - A_c, A_c never rises and B_c never falls
+    for c = c_lo, and the other way round for c = c_hi, as (1 + theta
+    lambda) / (1 + c theta) does for every eigenvalue lambda of L. On [a,
+    b] that gives the lower bounds f >= A_c(b) + B_c(a) (c = c_lo) and f >=
+    A_c(a) + B_c(b) (c = c_hi). (Splitting f at log det V, which never
+    falls, gives a bound looser by the fall of log det X'V^-1X across [a,
+    b]; it cannot certify a criterion that is flat in theta, as when L is a
+    multiple of I, and neither bound above can alone.) A branch and bound
+    splits every interval that neither bound certifies, at its geometric
+    midpoint (at b / 2 on [0, b]). It fails where a point beats the fit,
+    and where it needs more than _CERTIFY_CAP evaluations: it never passes
+    unfinished."""
+    tol = 1e-6 * max(1.0, abs(fitted))
+    one = tuple(a[i:i + 1] for a in stats)
+    r = data.n - X.shape[1]
+    K = scipy.linalg.null_space(X.T)
+    Z = (codes[:, None] == np.unique(codes)).astype(float)
+    lam = np.linalg.eigvalsh((K.T @ Z) @ (Z.T @ K))
+    c_lo, c_hi = max(lam[0], 0.0), lam[-1]
+
+    def parts(theta):
+        crit, rss = (np.concatenate(c) for c in zip(*(
+            data.profile_criterion(t, tuple(
+                np.repeat(a, len(t), axis=0) for a in one))[:2]
+            for t in np.array_split(theta, -(-len(theta) // 4096)))))
+        beaten = crit < fitted - tol
+        assert not beaten.any(), f"theta = {theta[beaten][0]!r} beats the fit"
+        a = r * np.log(rss)
+        return a, crit - a
+
+    nodes = np.r_[0.0, np.exp(np.linspace(_LOG_THETA_LO, _LOG_THETA_HI, 55))]
+    a, b = parts(nodes)
+    ends = nodes[:-1], a[:-1], b[:-1], nodes[1:], a[1:], b[1:]
+    evals = len(nodes)
+    while True:
+        lo, a_lo, b_lo, hi, a_hi, b_hi = ends
+        # r log((1 + c b) / (1 + c a)) moves r log(1 + c theta) from A to B
+        rise = [r * (np.log1p(c * hi) - np.log1p(c * lo)) for c in (c_lo, c_hi)]
+        bound = np.maximum(a_hi + b_lo + rise[0], a_lo + b_hi - rise[1])
+        # a nan bound stays open
+        open_ = ~(bound >= fitted - tol)
+        if not open_.any():
+            return evals
+        lo, a_lo, b_lo, hi, a_hi, b_hi = (x[open_] for x in ends)
+        mid = np.where(lo > 0, np.sqrt(lo * hi), 0.5 * hi)
+        evals += len(mid)
+        assert evals <= _CERTIFY_CAP, f"not certified in {_CERTIFY_CAP} evaluations"
+        a_mid, b_mid = parts(mid)
+        ends = (np.r_[lo, mid], np.r_[a_lo, a_mid], np.r_[b_lo, b_mid],
+                np.r_[mid, hi], np.r_[a_mid, a_hi], np.r_[b_mid, b_hi])
+
+
 class TestRemlProperties:
     @settings(max_examples=80, deadline=None)
     @given(small_designs())
@@ -489,6 +589,12 @@ class TestRemlProperties:
     # the fit with U of replicate 1 has its optimum at the upper end of the
     # range, past the scan; it took theta = 0 and reported convergence
     @example(_small_design([1, 1, 4], 1, 2, 0.0, 3))
+    # fits without U whose optimum lies in a dip narrower than the scan's
+    # spacing, beside a local minimum of the scan; Newton from the scan's
+    # lowest point alone ended at theta = 0, 21.368639 against the grid's
+    # 21.368431 and 16.876968 against 16.873848
+    @example(_small_design([1, 6, 4, 1], 2, 3, 0.5, 1242006104))
+    @example(_small_design([1, 1, 1, 1, 5], 1, 2, 0.0, 268347))
     def test_no_point_of_a_dense_grid_beats_the_fit(self, case):
         # fits with and without the extra column; the grid holds 2,001 log
         # thetas
@@ -502,6 +608,34 @@ class TestRemlProperties:
                 dense = data.profile_criterion(grid, tuple(
                     np.repeat(a[i:i + 1], len(grid), axis=0) for a in stats))[0]
                 assert fitted[i] <= dense.min() + 1e-9 * max(1.0, abs(fitted[i]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_designs())
+    @example(_small_design([1, 6, 4, 1], 2, 3, 0.5, 1242006104))
+    @example(_small_design([1, 1, 1, 1, 5], 1, 2, 0.0, 268347))
+    def test_the_fit_is_certified_over_every_theta(self, case):
+        # fits with and without the extra column, over [0, e^11.5], by the
+        # monotone bound of _certify
+        X, codes, Y, U = case
+        data = MixedModelData(X, codes, tuple(f"x{j}" for j in range(X.shape[1])))
+        for extra in (None, U):
+            stats = _stats(data, Y, extra)
+            fitted = data.profile_criterion(_fit(data, Y, extra).theta, stats)[0]
+            for i in range(len(Y)):
+                design = X if extra is None else np.column_stack([X, U[i]])
+                _certify(data, stats, i, fitted[i], design, codes)
+
+    def test_search_counts_its_extra_newton_starts(self, caplog):
+        # replicate 0 of the first pinned design above has a second local
+        # minimum in its scan: its block's DEBUG record counts that start
+        X, codes, Y, _ = _small_design([1, 6, 4, 1], 2, 3, 0.5, 1242006104)
+        data = MixedModelData(X, codes, ("a", "b", "c"))
+        with caplog.at_level(logging.DEBUG, logger="matchdid.infer"):
+            data.fit(Y[:1])
+            data.fit(Y[1:])
+        assert [r.getMessage().rsplit(", ", 1)[1] for r in caplog.records
+                if r.levelno == logging.DEBUG] == ["1 extra starts",
+                                                   "0 extra starts"]
 
     def test_indefinite_replicate_reads_inf_without_aborting(self):
         # the second replicate's X'X block is indefinite; the first still

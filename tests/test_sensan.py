@@ -90,6 +90,49 @@ class TestSensitivityFit:
         assert drawn == []
 
 
+class TestOneModelPerDesign:
+    def test_primary_fit_and_sweep_factor_the_scan_once(self, analysis,
+                                                        monkeypatch):
+        # the primary fit and the sweep of one design fit through its one
+        # model, design.data, so X'V^-1X is factored at the scan points once
+        design, _, sets = analysis
+        design = dataclasses.replace(design)    # a copy with no model built
+        factor = MixedModelData.__dict__["_scan_factor"]
+        make, made = factor.func, []
+
+        def counted(self):
+            made.append(self)
+            return make(self)
+
+        monkeypatch.setattr(factor, "func", counted)
+        run_primary_analysis(design, sets)
+        sensitivity_grid(design, sets, seed=3, grid=[(2.5, 5.0)])
+        assert made == [design.data]
+
+
+class TestOutcomeMatrix:
+    @pytest.mark.parametrize("change", ["wider", "narrower", "1-D"])
+    def test_sensitivity_fit_refuses_a_misfit_matrix(self, analysis, change):
+        # a data error naming the expected shape, not a ValueError from
+        # numpy's broadcasting
+        design, _, sets = analysis
+        Y = {"wider": lambda: np.column_stack([sets, sets[:, :2]]),
+             "narrower": lambda: sets[:, :-1],
+             "1-D": lambda: sets[0]}[change]()
+        with pytest.raises(DataValidationError,
+                           match=rf"expected \(M, n\) = \(M, {design.n_records}\)"):
+            sensitivity_fit(design, Y, 2.5, 5.0, seed=3)
+
+    def test_sweep_takes_a_float_matrix(self, analysis):
+        # as the primary fit does; it raised IndexError, indexing P(U=1)
+        # by a float record class
+        design, _, sets = analysis
+        grid = [(2.5, 5.0), (-5.0, -10.0)]
+        assert sensitivity_grid(design, sets.astype(float), seed=3,
+                                grid=grid) == sensitivity_grid(
+            design, sets, seed=3, grid=grid)
+
+
 class TestCollinearU:
     @pytest.mark.parametrize("column", ["constant", "low_prevalence"])
     def test_collinear_u_is_refused_by_name(self, analysis, column):
