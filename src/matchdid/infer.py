@@ -3,19 +3,21 @@ REML, the four-cell contrast algebra, and Rubin's rules for pooling over
 imputed data sets.
 
 The REML criterion is profiled over the variance ratio theta =
-sigma0^2/sigma1^2. On a cluster of size n_i, V^-1 = I - theta/(1 + theta
-n_i) J, so once per fit the outer products of the cluster totals are summed
-within each of the S cluster sizes. The M replicates are fitted together,
-in consecutive blocks of at most 64 (_BLOCK), so that the statistics held
-at once do not grow with M. An evaluation forms the bordered matrix [X,
-y]'V^-1[X, y] from the S class sums, reads the criterion off its batched
-Cholesky factor (Bates and DebRoy, JMVA 2004) and its first two derivatives
-in log theta off the factor's inverse. Each replicate's optimum is found by
-a safeguarded Newton iteration (Lindstrom and Bates, JASA 1988) from every
+sigma0^2/sigma1^2. On a cluster of size n, V^-1 = I - c J with c = theta/(1
++ theta n), so once per fit the outer products of the cluster totals are
+summed within each of the S cluster sizes. The M replicates are fitted in
+blocks of at most 64 (_BLOCK), so the statistics held at once do not grow
+with M. An evaluation forms the bordered matrix [X, y]'V^-1[X, y] from the
+S class sums, reads the criterion off its batched Cholesky factor (Bates and
+DebRoy, JMVA 2004) and its first two derivatives in log theta off the
+factor's inverse. A stack that fails is factored matrix by matrix, and a
+bordered matrix that fails takes y's residual on X'V^-1X's own factor
+(+inf where that fails too). Each replicate's optimum is found by a
+safeguarded Newton iteration (Lindstrom and Bates, JASA 1988) from every
 local minimum of a 49-point scan, which factors X'V^-1X once per scan point
 and borders it with each replicate's own rows; the lowest of theta = 0,
 Newton's optimum and the upper end of the range wins. Every fit searches
-this one way, through its design's one model (``InferenceDesign.data``).
+this way, through its design's one model (``InferenceDesign.data``).
 """
 
 from __future__ import annotations
@@ -182,6 +184,29 @@ _BLOCK = 64
 _COLLINEAR_TOL = 1e-9
 
 
+def _class_sum(c: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """sum_s c_s classes_s for classes (..., S, k, k) and c (..., S). No
+    product spans the leading axes: a replicate's sum does not see its batch."""
+    return np.einsum("...s,...sij->...ij", c, classes)
+
+
+def _cholesky(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of the stacked matrices ``a`` and a mask of those
+    that do not factor, left as the identity: the stack in one call, and
+    matrix by matrix only when that call fails."""
+    failed = np.zeros(len(a), dtype=bool)
+    try:
+        return np.linalg.cholesky(a), failed
+    except np.linalg.LinAlgError:
+        factor = np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
+    for i, matrix in enumerate(a):
+        try:
+            factor[i] = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    return factor, failed
+
+
 def _inverse_lower(factor: np.ndarray) -> np.ndarray:
     """Inverses of stacked lower triangular matrices, a row at a time."""
     inv = np.zeros_like(factor)
@@ -268,11 +293,11 @@ class MixedModelData:
 
     def _outcome_matrix(self, Y) -> np.ndarray:
         """Y as an array, refused unless it is an (M, n) matrix of finite
-        outcomes, row i replicate i's."""
+        outcomes, row i replicate i's, with M >= 1."""
         Y = np.asarray(Y)
-        if Y.ndim != 2 or Y.shape[1] != self.n:
+        if Y.ndim != 2 or Y.shape[1] != self.n or not len(Y):
             raise DataValidationError(f"outcome matrix of shape {Y.shape}; "
-                                      f"expected (M, n) = (M, {self.n})")
+                                      f"expected (M, n) = (M, {self.n}), M >= 1")
         if Y.dtype.kind not in "biu" and not np.isfinite(Y).all():
             raise DataValidationError("outcome matrix holds values that are "
                                       "not finite")
@@ -285,28 +310,20 @@ class MixedModelData:
         return self._border(tuple(np.broadcast_to(a, (len(Y),) + a.shape)
                                   for a in (self.xtx, self.x_classes)), Y, [])[:2]
 
+    def _weights(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """At each theta of the column ``theta`` (G, 1): the class weights c =
+        theta / (1 + theta n_s) of V^-1 = I - c J (G, S) and log det V (G,)."""
+        return (theta / (1.0 + theta * self.sizes),
+                (self.size_counts * np.log1p(theta * self.sizes)).sum(axis=1))
+
     @cached_property
     def _scan_factor(self) -> Tuple[np.ndarray, ...]:
         """At each theta of _SCAN, for every fit of this design: the class
         weights c, the inverse of the Cholesky factor of X'V^-1X, and its
-        log-determinant plus log det V (+inf where it does not factor)."""
-        theta = np.exp(_SCAN)[:, None]
-        c = theta / (1.0 + theta * self.sizes)
-        # the class terms summed in the order ``profile_criterion`` sums them
-        w = self.xtx - sum(c[:, j, None, None] * x
-                           for j, x in enumerate(self.x_classes))
-        chol = np.broadcast_to(np.eye(self.p), w.shape).copy()
-        failed = np.zeros(len(_SCAN), dtype=bool)
-        try:
-            chol[:] = np.linalg.cholesky(w)
-        except np.linalg.LinAlgError:
-            for g, a in enumerate(w):
-                try:
-                    chol[g] = np.linalg.cholesky(a)
-                except np.linalg.LinAlgError:
-                    failed[g] = True
-        logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                  + (self.size_counts * np.log1p(theta * self.sizes)).sum(axis=1))
+        log-determinant plus log det V (+inf where ``_cholesky`` fails)."""
+        c, logdet_v = self._weights(np.exp(_SCAN)[:, None])
+        chol, failed = _cholesky(self.xtx - _class_sum(c, self.x_classes))
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1) + logdet_v
         logdet[failed] = np.inf
         return c, _inverse_lower(chol), logdet
 
@@ -325,8 +342,7 @@ class MixedModelData:
         scores = np.empty((len(_SCAN), len(gram)))
         for lo in range(0, len(_SCAN), _SCAN_CHUNK):
             g = slice(lo, lo + _SCAN_CHUNK)
-            b = gram[:, p:] - sum(c[g, j, None, None, None] * classes[:, j, p:]
-                                  for j in range(len(self.sizes)))
+            b = gram[:, p:] - _class_sum(c[g, None], classes[:, :, p:])
             z = b[..., :p] @ np.swapaxes(inv[g], 1, 2)[:, None]
             schur = b[..., p:] - z @ np.swapaxes(z, 2, 3)
             rss, pivot = schur[..., -1, -1], schur[..., 0, 0]
@@ -361,65 +377,54 @@ class MixedModelData:
 
     def profile_criterion(self, theta: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
         """-2 REML log-likelihood up to a constant, profiled over sigma1^2,
-        at one variance ratio per replicate. Returns (criterion, rss, chol,
-        z) with chol the Cholesky factor of X'V^-1X and z = chol^-1 X'V^-1y.
+        at one variance ratio per replicate: (criterion, rss, L), L the
+        Cholesky factor of the bordered matrix [X, y]'V^-1[X, y] (Bates and
+        DebRoy 2004), whose L[:q, :q] factors X'V^-1X and rss = L[q, q]^2.
 
-        On a cluster of size n, V^-1 = I - c J with c = theta / (1 + theta n),
-        so [X, V]'V^-1[X, V] is the cross products less the size-class
-        sums, each weighted by its class's c. One Cholesky factor
-        L of that bordered matrix gives chol = L[:q, :q], z = L[q, :q] and
-        rss = L[q, q]^2 (Bates and DebRoy 2004). Where it fails, each
-        replicate is scored alone: the criterion is +inf where X'V^-1X is
-        not positive definite and -inf where the residual vanishes. A fit
-        scores its scan with ``scan_criterion``, and all else with this."""
+        The bordered matrix is the cross products less the size-class sums,
+        each weighted by its class's c (``_weights``). Where it does not
+        factor (``_cholesky``), rss is y's residual on the factor of X'V^-1X
+        alone, clipped at 0, and L[q, q] = sqrt(rss); where that fails too,
+        L[:q, :q] = I and rss = +inf. The criterion is +inf there and -inf
+        where the residual vanishes. A fit scores its scan with
+        ``scan_criterion``, and all else with this."""
         gram, classes = stats
         q = gram.shape[-1] - 1
-        c = theta[:, None] / (1.0 + theta[:, None] * self.sizes)
-        # every einsum operand carries the replicate axis, which keeps each
-        # replicate's sums independent of the batch
-        w = gram - np.einsum("ms,msij->mij", c, classes)
-        try:
-            factor = np.linalg.cholesky(w)
-            chol, z = factor[:, :q, :q], factor[:, q, :q]
-            rss = factor[:, q, q] ** 2
-        except np.linalg.LinAlgError:
-            if len(theta) > 1:
-                parts = [self.profile_criterion(
-                    theta[i:i + 1], tuple(a[i:i + 1] for a in stats))
-                    for i in range(len(theta))]
-                return tuple(np.concatenate(part) for part in zip(*parts))
-            try:
-                chol = np.linalg.cholesky(w[:, :q, :q])
-            except np.linalg.LinAlgError:
-                return (np.full(1, np.inf), np.full(1, np.inf),
-                        np.eye(q)[None], np.zeros((1, q)))
-            z = scipy.linalg.solve_triangular(chol[0], w[0, :q, q], lower=True)[None]
-            rss = np.maximum(w[:, q, q] - (z * z).sum(axis=1), 0.0)
-        logdet_v = self.size_counts * np.log1p(theta[:, None] * self.sizes)
-        logdet = (2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                  + logdet_v.sum(axis=1))
+        c, logdet_v = self._weights(theta[:, None])
+        w = gram - _class_sum(c, classes)
+        factor, failed = _cholesky(w)
+        rss = factor[:, q, q] ** 2
+        if failed.any():
+            chol, singular = _cholesky(w[failed, :q, :q])
+            z = scipy.linalg.solve_triangular(chol, w[failed, :q, q, None],
+                                              lower=True)[..., 0]
+            rss[failed] = np.where(singular, np.inf, np.maximum(
+                w[failed, q, q] - (z * z).sum(axis=1), 0.0))
+            factor[failed, :q, :q], factor[failed, q, :q] = chol, z
+            factor[failed, q, q] = np.sqrt(rss[failed])
+        logdet = (2.0 * np.log(np.diagonal(factor, axis1=1, axis2=2)[:, :q]).sum(axis=1)
+                  + logdet_v)
         with np.errstate(divide="ignore"):
-            return (self.n - q) * np.log(rss) + logdet, rss, chol, z
+            return (self.n - q) * np.log(rss) + logdet, rss, factor
 
     def _newton_terms(self, u: np.ndarray, stats) -> Tuple[np.ndarray, ...]:
         """f = (n - q - 1) log rss + log det W + sum_s k_s log(1 + theta n_s)
         at theta = exp(u) and f_u, f_uu (nan where f is not finite). With W =
-        L L', R = L^-1, E = R A R', F = R B R' for W_u = -A, W_uu = -B: (log
-        det W)_u = -tr E, (log det W)_uu = -tr F - |E|^2, (log rss)_u = -E_qq,
-        (log rss)_uu = E_qq^2 - 2 |E_q.|^2 - F_qq."""
+        L L', L the bordered factor of ``profile_criterion`` (its fallback's
+        too), R = L^-1, E = R A R', F = R B R' for W_u = -A, W_uu = -B: (log
+        det W)_u = -tr E, (log det W)_uu = -tr F - |E|^2, (log rss)_u =
+        -E_qq, (log rss)_uu = E_qq^2 - 2 |E_q.|^2 - F_qq."""
         theta = np.exp(u)
-        criterion, rss, chol, z = self.profile_criterion(theta, stats)
-        q = len(z[0])
-        factor = np.zeros_like(stats[0])
-        factor[:, :q, :q], factor[:, q, :q], factor[:, q, q] = chol, z, np.sqrt(rss)
+        criterion, _, factor = self.profile_criterion(theta, stats)
+        q = factor.shape[-1] - 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = _inverse_lower(factor)
             d = 1.0 + theta[:, None] * self.sizes
             a = theta[:, None] / d ** 2     # c_s'(u); c_s''(u) = a (2 / d - 1)
             # of F = R B R' only tr F = sum (R B) * R and F_qq are needed
-            rb = inv @ np.einsum("ms,msij->mij", a * (2.0 / d - 1.0), stats[1])
+            rb = inv @ _class_sum(a * (2.0 / d - 1.0), stats[1])
             tr_f, f_qq = (rb * inv).sum(axis=(1, 2)), (rb[:, q] * inv[:, q]).sum(axis=1)
-            e = inv @ np.einsum("ms,msij->mij", a, stats[1]) @ np.swapaxes(inv, 1, 2)
+            e = inv @ _class_sum(a, stats[1]) @ np.swapaxes(inv, 1, 2)
             r, v = self.n - q - 1, self.size_counts * theta[:, None] * self.sizes / d
             grad = -r * e[:, q, q] - np.trace(e, axis1=1, axis2=2) + v.sum(axis=1)
             hess = (r * (e[:, q, q] ** 2 - 2.0 * (e[:, q] ** 2).sum(axis=1) - f_qq)
@@ -510,11 +515,11 @@ class MixedModelData:
         m, q = len(stats[0]), len(names)
         if q > self.p:
             self._check_column(stats[0], names[-1])
-        crit0, rss0, _, _ = self.profile_criterion(np.zeros(m), stats)
+        crit0, rss0, _ = self.profile_criterion(np.zeros(m), stats)
         # degenerate outcome: zero residual variation at theta = 0. It keeps
         # theta = 0 and stays out of the search, where its vanishing
-        # residual would have every evaluation score the batch one
-        # replicate at a time
+        # residual would have every evaluation factor the batch matrix by
+        # matrix
         degenerate = rss0 <= 1e-12 * np.maximum(1.0, stats[0][:, q, q])
         live = ~degenerate
         # a copy of the statistics only when some replicate is left out
@@ -548,16 +553,16 @@ class MixedModelData:
         theta, unconverged = np.zeros(m), np.zeros(m, dtype=bool)
         theta[live] = np.where(pick == 0, 0.0, np.exp(u))
         unconverged[live] = stopped | ((pick > 0) & edge)
-        criterion, rss, chol, z = self.profile_criterion(theta, stats)
+        criterion, rss, factor = self.profile_criterion(theta, stats)
         # the statistics are done with; unless the caller keeps them,
         # freeing them here keeps the peak memory of a fit at its search's
         del stats, search
         if not np.isfinite(criterion[live]).all():
             raise ConvergenceError("REML profile criterion is not finite")
-        inv = _inverse_lower(chol)
-        gamma = (z[:, None] @ inv)[:, 0]
+        inv = _inverse_lower(factor[:, :q, :q])
+        gamma = (factor[:, q, None, :q] @ inv)[:, 0]
         sigma1_sq = np.where(degenerate, 0.0, rss / (self.n - q))
-        # diag((X'V^-1X)^-1) holds the column sums of squares of chol^-1
+        # diag((X'V^-1X)^-1) holds the column sums of squares of L[:q, :q]^-1
         se = np.sqrt(sigma1_sq[:, None] * (inv ** 2).sum(axis=1))
         # the REML log-likelihood at sigma1^2 = rss / (n - q)
         loglik = np.where(degenerate, math.inf, -0.5 * (

@@ -225,16 +225,15 @@ class Workspace:
 # stages
 
 
-def stage_simulate(ws: Workspace, seed: int) -> Dict:
+def stage_simulate(ws: Workspace, seed: int) -> None:
     outputs = [*INPUTS, "truth.json"]
     for name in outputs:
         ws.output(name)
-    truth = gen_scenario(ws.cfg.scenario, seed, ws.out)
+    gen_scenario(ws.cfg.scenario, seed, ws.out)
     ws.manifest("simulate", seed, [], outputs)
-    return truth
 
 
-def stage_ingest(ws: Workspace, seed: int) -> Dict:
+def stage_ingest(ws: Workspace, seed: int) -> None:
     clusters, births, warnings = ws.tables
     selections = select_study_years(clusters)
     filtered, counts = filter_births(births)
@@ -262,7 +261,6 @@ def stage_ingest(ws: Workspace, seed: int) -> Dict:
     ws.manifest("ingest", seed, INPUTS, ["study_years.csv",
                                          "births_filtered.csv",
                                          "ingest_summary.json"])
-    return summary
 
 
 def _read_study_years(path: Path) -> Dict[str, Optional[StudySelection]]:
@@ -278,7 +276,7 @@ def _read_study_years(path: Path) -> Dict[str, Optional[StudySelection]]:
     return selections
 
 
-def stage_geomatch(ws: Workspace, seed: int) -> List[ClusterPair]:
+def stage_geomatch(ws: Workspace, seed: int) -> None:
     clusters = ws.tables[0]
     selections = _read_study_years(ws.artifact("study_years.csv"))
 
@@ -300,18 +298,16 @@ def stage_geomatch(ws: Workspace, seed: int) -> List[ClusterPair]:
 
     write_pairs_csv(pairs, ws.output("pairs.csv"))
     ws.manifest("geomatch", seed, [*INPUTS, "study_years.csv"], ["pairs.csv"])
-    return pairs
 
 
-def stage_classify(ws: Workspace, seed: int) -> List[ClusterPair]:
+def stage_classify(ws: Workspace, seed: int) -> None:
     classified = classify_pairs(ws.pairs(classified=False), ws.cfg.model)
     write_pairs_csv(classified, ws.output("pairs.csv"))
     # pairs.csv is rewritten in place, so it is listed only as an output
     ws.manifest("classify", seed, INPUTS, ["pairs.csv"])
-    return classified
 
 
-def stage_cardmatch(ws: Workspace, seed: int):
+def stage_cardmatch(ws: Workspace, seed: int) -> None:
     eligible = [p for p in ws.pairs() if p.early.covariates_defined()
                 and p.late.covariates_defined()]
     treated = [p for p in eligible if p.category is PairCategory.HIGH_LOW]
@@ -327,10 +323,9 @@ def stage_cardmatch(ws: Workspace, seed: int):
     write_balance_csv(balance, ws.output("balance.csv"))
     ws.manifest("cardmatch", seed, [*INPUTS, "pairs.csv"],
                 ["quadruples.csv", "balance.csv"])
-    return quadruples, balance
 
 
-def stage_impute(ws: Workspace, seed: int):
+def stage_impute(ws: Workspace, seed: int) -> None:
     design = ws.design
     observed = [r for r in design.records if r.lbw is not None]
     model = fit_imputation_model(observed)
@@ -350,10 +345,9 @@ def stage_impute(ws: Workspace, seed: int):
     ws.imputed = imputed
     ws.manifest("impute", seed, DESIGN_INPUTS,
                 ["imputation_model.json", "imputations.csv"])
-    return model, imputed
 
 
-def stage_fit(ws: Workspace, seed: int):
+def stage_fit(ws: Workspace, seed: int) -> None:
     result = run_primary_analysis(ws.design, ws.imputed)
 
     write_results_csv(result.pooled, ws.output("results.csv"))
@@ -374,19 +368,17 @@ def stage_fit(ws: Workspace, seed: int):
     })
     ws.manifest("fit", seed, [*DESIGN_INPUTS, "imputations.csv"],
                 ["results.csv", "diagnostics.csv", "fit_summary.json"])
-    return result
 
 
-def stage_sensitivity(ws: Workspace, seed: int):
+def stage_sensitivity(ws: Workspace, seed: int) -> None:
     rows = sensitivity_grid(ws.design, ws.imputed, seed,
                             grid=ws.cfg.sensitivity.grid)
     write_sensitivity_csv(rows, ws.output("sensitivity.csv"))
     ws.manifest("sensitivity", seed, [*DESIGN_INPUTS, "imputations.csv"],
                 ["sensitivity.csv"])
-    return rows
 
 
-def stage_report(ws: Workspace, seed: int):
+def stage_report(ws: Workspace, seed: int) -> None:
     """Regenerate the presentation tables from the stage artifacts.
 
     A table is copied to ``report_<table>`` only when the manifest of the
@@ -409,24 +401,16 @@ def stage_report(ws: Workspace, seed: int):
         else:
             target.unlink(missing_ok=True)
     ws.manifest("report", seed, inputs, outputs)
-    return [ws.out / name for name in outputs]
 
 
-def run_pipeline(ws: Workspace, seed: int) -> Dict:
+def run_pipeline(ws: Workspace, seed: int) -> None:
     """All analysis stages in order (inputs must already exist)."""
     stage_ingest(ws, seed)
     stage_geomatch(ws, seed)
     stage_classify(ws, seed)
     stage_cardmatch(ws, seed)
     stage_impute(ws, seed)
-    result = stage_fit(ws, seed)
+    stage_fit(ws, seed)
     if ws.cfg.sensitivity.enabled:
         stage_sensitivity(ws, seed)
     stage_report(ws, seed)
-    return {
-        "pooled_k1": result.pooled["low_prevalence"].estimate,
-        "ci": [result.pooled["low_prevalence"].ci_low,
-               result.pooled["low_prevalence"].ci_high],
-        "p_value": result.pooled["low_prevalence"].p_value,
-        "naive_k1": result.naive_k1,
-    }

@@ -370,7 +370,8 @@ class TestMixedModel:
 class TestOutcomeMatrix:
     # an outcome matrix that does not fit the design is a data error (exit
     # 2): a wider one was fitted on its first n columns, a narrower or 1-D
-    # one raised IndexError or AxisError, and a nan one ConvergenceError
+    # one raised IndexError or AxisError, a nan one ConvergenceError and an
+    # empty one TypeError
     def test_wider_outcome_is_refused(self):
         rng = np.random.default_rng(9)
         X = np.column_stack([np.ones(24), rng.normal(size=24)])
@@ -388,18 +389,28 @@ class TestOutcomeMatrix:
         with pytest.raises(DataValidationError, match="not finite"):
             fit_mixed_lpm(X, np.repeat(np.arange(6), 4), y, ("a", "b"))
 
-    @pytest.mark.parametrize("change", ["wider", "narrower", "1-D", "nan"])
+    @pytest.mark.parametrize("change", ["wider", "narrower", "1-D", "nan",
+                                        "empty"])
     def test_primary_analysis_refuses_a_misfit_matrix(self, analysis, change):
         design, _, sets = analysis
         n = design.n_records
         Y = {"wider": lambda: np.column_stack([sets, sets[:, :2]]),
              "narrower": lambda: sets[:, :-1],
              "1-D": lambda: sets[0],
-             "nan": lambda: np.where(np.arange(n) == 5, math.nan, sets)}[change]()
+             "nan": lambda: np.where(np.arange(n) == 5, math.nan, sets),
+             "empty": lambda: sets[:0]}[change]()
         message = ("not finite" if change == "nan"
                    else rf"expected \(M, n\) = \(M, {n}\)")
         with pytest.raises(DataValidationError, match=message):
             run_primary_analysis(design, Y)
+
+    def test_sweep_refuses_an_empty_matrix(self, analysis):
+        # M = 0: the sweep's pooling raised "needs M >= 2", and the primary
+        # fit a TypeError from MixedFit
+        design, _, sets = analysis
+        with pytest.raises(DataValidationError,
+                           match=rf"shape \(0, {design.n_records}\); expected"):
+            sensitivity_grid(design, sets[:0], seed=3, grid=[(2.5, 5.0)])
 
 
 def reml_loglik(data, y, sigma0_sq, sigma1_sq):
@@ -646,17 +657,52 @@ class TestRemlProperties:
         y = np.array([0.1, 0.5, 0.2, 0.9, 0.4, 0.3])
         gram, classes = data.outcomes([y, y])
         gram[1, :2, :2] = -np.eye(2)
-        crit, _, _, _ = data.profile_criterion(np.array([0.5, 0.5]),
-                                               (gram, classes))
-        alone, _, _, _ = data.profile_criterion(np.array([0.5]),
-                                                data.outcomes([y]))
+        crit, _, _ = data.profile_criterion(np.array([0.5, 0.5]),
+                                            (gram, classes))
+        alone, _, _ = data.profile_criterion(np.array([0.5]),
+                                             data.outcomes([y]))
         assert crit[1] == math.inf
         assert crit[0] == alone[0]
 
+    def test_a_failed_factor_is_scored_in_the_same_call(self, monkeypatch):
+        # replicate 1's bordered matrix does not factor (y = 0): the batch
+        # is still scored by one call, where each replicate was scored
+        # alone, 1 + M calls
+        codes = np.repeat(np.arange(4), 3)
+        X = np.column_stack([np.ones(12), np.arange(12.0)])
+        data = MixedModelData(X, codes, ("a", "b"))
+        y = np.random.default_rng(4).normal(size=12)
+        stats = data.outcomes([y, np.zeros(12), y])
+        calls = []
+        criterion = MixedModelData.profile_criterion
+
+        def counted(self, theta, stats):
+            calls.append(len(theta))
+            return criterion(self, theta, stats)
+
+        monkeypatch.setattr(MixedModelData, "profile_criterion", counted)
+        crit = data.profile_criterion(np.full(3, 0.5), stats)[0]
+        assert calls == [3]
+        assert crit[1] == -math.inf and crit[0] == crit[2]
+
+    def test_fallback_factor_ends_in_the_root_of_rss(self):
+        # replicate 1's bordered matrix does not factor (y = 0, rss 0), nor
+        # does replicate 2's X'V^-1X (rss +inf): the factor handed on ends
+        # in sqrt(rss) for them as for replicate 0, not in the 1 of the
+        # identity, so its squared last pivot is rss
+        codes = np.repeat(np.arange(4), 3)
+        X = np.column_stack([np.ones(12), np.arange(12.0)])
+        data = MixedModelData(X, codes, ("a", "b"))
+        y = np.random.default_rng(4).normal(size=12)
+        gram, classes = data.outcomes([y, np.zeros(12), y])
+        gram[2, :2, :2] = -np.eye(2)
+        _, rss, factor = data.profile_criterion(np.full(3, 0.5), (gram, classes))
+        assert rss[1] == 0.0 and rss[2] == math.inf and 0.0 < rss[0] < math.inf
+        assert np.array_equal(factor[:, 2, 2] ** 2, rss)
+
     def test_degenerate_replicate_does_not_slow_the_batch(self, monkeypatch):
         # y = 0 has no residual at any theta, so the bordered factor fails
-        # for any batch holding it and the batch is scored one replicate
-        # at a time
+        # for any batch holding it
         rng = np.random.default_rng(3)
         codes = np.repeat(np.arange(12), 5)
         X = np.column_stack([np.ones(60), rng.normal(size=60)])
@@ -686,10 +732,10 @@ class TestRemlProperties:
             assert np.array_equal(getattr(both, field.name)[1:],
                                   getattr(alone, field.name)), field.name
         # the search scores the ordinary replicate only; the evaluations at
-        # theta = 0 and at the fitted theta take the whole batch and so
-        # score its two replicates alone, one more call each
+        # theta = 0 and at the fitted theta take the whole batch, one call
+        # each as alone
         batch_calls = len(calls) - n_alone
-        assert batch_calls <= n_alone + 2 * 2
+        assert batch_calls == n_alone
         # the scan scores the live replicate only, once per fit
         assert scanned == [1, 1]
 

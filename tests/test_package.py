@@ -1,6 +1,7 @@
 """The package root loads its submodules lazily (PEP 562): ``import
 matchdid`` is cheap, and every public name still resolves."""
 
+import ast
 import importlib
 import json
 import os
@@ -118,3 +119,15 @@ def test_benchmark_tracer_finds_every_patch_point():
          "from tracer import Tracer, instrument\ninstrument(Tracer())"],
         capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
+
+
+def test_infer_catches_a_failed_cholesky_in_one_function():
+    # every Cholesky factorisation of the REML core goes through
+    # infer._cholesky, so a matrix that does not factor meets one rule
+    tree = ast.parse(Path(matchdid.__file__).with_name("infer.py").read_text())
+    catching = {func.name for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "LinAlgError" in ast.unparse(node.type)}
+    assert catching == {"_cholesky"}
